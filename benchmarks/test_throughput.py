@@ -1,8 +1,8 @@
 """Component throughput benchmarks: the simulator substrates themselves.
 
 These are classic pytest-benchmark microbenchmarks over the hot paths:
-instrumentation + analysis pipeline, exact cache simulation, power-model
-controller loop, and the vectorized analyzers.
+instrumentation + analysis pipeline, exact cache simulation, the
+two-phase power-model controller, and the vectorized analyzers.
 """
 
 import numpy as np
@@ -98,7 +98,8 @@ def test_engine_replay_throughput(benchmark, tmp_path):
 
 
 def test_power_controller_throughput(benchmark, random_batch):
-    """Per-access controller loop (accesses/sec)."""
+    """Two-phase controller: row-buffer array pass + timing scan
+    (accesses/sec)."""
     line_batch = RefBatch(
         addr=(random_batch.addr >> np.uint64(6)) << np.uint64(6),
         is_write=random_batch.is_write,

@@ -5,6 +5,9 @@ Measures, on the same inputs the pytest-benchmark suite uses:
 * scalar :class:`ReferenceCacheHierarchy` vs vectorized
   :class:`CacheHierarchy` refs/sec (and their speedup, with a
   differential check that the two produce identical statistics);
+* scalar :class:`ReferenceController` vs the two-phase
+  :class:`MemoryController` refs/sec on one PCRAM batch, with a
+  differential check that bank, rank and controller state match exactly;
 * pipeline-engine ``record`` (live instrumented execution) vs ``replay``
   (cached artifact) refs/sec — the *cold* replay (v3 container mapped,
   CRC-swept, and decoded from disk) with its per-phase breakdown
@@ -55,6 +58,9 @@ from repro.cachesim import (
     TABLE2_CONFIG,
 )
 from repro.engine import PipelineEngine, RunSpec
+from repro.nvram import PCRAM
+from repro.powersim import TABLE3_DEVICE, MemoryController
+from repro.powersim.reference import ReferenceController
 from repro.trace.record import RefBatch
 from repro.util.rng import make_rng
 
@@ -108,6 +114,39 @@ def cache_section() -> dict:
         "vectorized_refs_per_s": round(N / t_vector),
         "speedup": round(t_scalar / t_vector, 2),
         "bit_identical_stats": identical,
+    }
+
+
+def _controller_state(ctl) -> tuple:
+    banks = ctl.banks
+    return (
+        banks.open_row.tolist(), banks.busy_until.tolist(),
+        banks.activations.tolist(), banks.dirty.tolist(),
+        ctl.stats, [rank.activity for rank in ctl.ranks],
+        ctl._now, ctl._prev_write,
+    )
+
+
+def power_controller_section() -> dict:
+    batch = make_batch()
+
+    def run(cls):
+        ctl = cls(TABLE3_DEVICE, PCRAM)
+        ctl.process_batch(batch)
+        return ctl
+
+    t_ref, ctl_ref = best_of(lambda: run(ReferenceController))
+    t_vec, ctl_vec = best_of(lambda: run(MemoryController))
+    identical = _controller_state(ctl_ref) == _controller_state(ctl_vec)
+    if not identical:
+        raise SystemExit("differential check failed: controller state diverges")
+    return {
+        "refs": N,
+        "technology": PCRAM.name,
+        "reference_refs_per_s": round(N / t_ref),
+        "two_phase_refs_per_s": round(N / t_vec),
+        "speedup": round(t_ref / t_vec, 2),
+        "bit_identical": identical,
     }
 
 
@@ -437,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-engine-") as tmp:
         report = {
             "cache_hierarchy": cache_section(),
+            "power_controller": power_controller_section(),
             "engine": engine_section(tmp),
             "scheduler": scheduler_section(tmp),
             "queue": queue_section(tmp),

@@ -60,7 +60,7 @@ class BankArray:
     """All banks of the memory system in flat numpy arrays (hot path).
 
     Scalar :class:`BankState` objects exist for inspection/testing; the
-    controller's per-access loop uses these arrays directly.
+    controller's array passes and timing scan use these arrays directly.
     """
 
     def __init__(self, n_banks_total: int) -> None:

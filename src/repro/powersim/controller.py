@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from repro.nvram.technology import MemoryTechnology
 from repro.powersim.addressing import AddressMapping
@@ -45,11 +46,6 @@ class ControllerStats:
     @property
     def row_hit_rate(self) -> float:
         return self.row_hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def channel_utilization(self) -> float:
-        """Burst time as a fraction of elapsed time."""
-        return 0.0  # filled in by the memory system (needs burst_ns)
 
 
 class MemoryController:
@@ -87,78 +83,137 @@ class MemoryController:
 
     # ------------------------------------------------------------------
     def process_batch(self, batch: RefBatch) -> None:
-        """Run one batch of memory accesses through the controller."""
-        if len(batch) == 0:
+        """Run one batch of memory accesses through the controller.
+
+        Two phases. Row-buffer state (hit/miss, which misses close a dirty
+        row, final open rows, per-rank counts) does not depend on time, so
+        it is computed with array passes over the batch sorted by bank.
+        The max-plus channel/bank timing is the only true recurrence; it
+        runs as one scan over Python lists.
+        """
+        n = len(batch)
+        if n == 0:
             return
         flat_bank, row = self.mapping.flat_bank_batch(batch.addr)
         is_write = batch.is_write
-        open_row = self.banks.open_row
-        busy = self.banks.busy_until
-        acts = self.banks.activations
-        dirty = self.banks.dirty
-        n_banks_per_rank = self.device.n_banks
-        now = self._now
+        banks = self.banks
+        closed = self.row_policy == "closed"
+        n_total = self.device.total_banks
+
+        # -- phase 1: row-buffer state, per bank in stable (issue) order;
+        # the narrowest dtype that holds a bank index sorts by radix
+        order = np.argsort(
+            flat_bank.astype(np.min_scalar_type(n_total - 1)), kind="stable")
+        s_bank = flat_bank[order]
+        s_row = row[order].astype(np.int64)
+        s_write = is_write[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(s_bank[1:], s_bank[:-1], out=first[1:])
+        last = np.empty(n, dtype=bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        # row open when each access arrives: the bank's previous access
+        # left its row open (open page) or precharged it (closed page)
+        prev_row = np.full(n, -1, dtype=np.int64)
+        if not closed:
+            prev_row[1:] = s_row[:-1]
+        prev_row[first] = banks.open_row[s_bank[first]]
+        miss = prev_row != s_row
+        precharge = miss & (prev_row >= 0)
+        # dirty after each access: any write since the bank's last
+        # activate, or the carried-in dirty bit if no activate yet
+        seg_start = np.maximum.accumulate(np.where(miss | first, np.arange(n), 0))
+        writes = np.cumsum(s_write)
+        dirty_after = (writes - writes[seg_start] + s_write[seg_start] > 0) | (
+            ~miss[seg_start] & banks.dirty[s_bank]
+        )
+        dirty_before = np.empty(n, dtype=bool)
+        dirty_before[1:] = dirty_after[:-1]
+        dirty_before[first] = banks.dirty[s_bank[first]]
+        # a hit is a column access at bus speed; a miss activates (paying
+        # the array read latency), after a precharge if a row was open.
+        # Reads and writes both hit the row buffer at bus speed; the
+        # technology's long write latency is paid when a *dirty* row is
+        # closed (array write-back on precharge), the standard PCM
+        # row-buffer organization
+        s_delay = np.where(miss, self._t_act, 0.0)
+        s_delay[precharge & dirty_before] = self._t_act + self._t_wr
+        s_delay[precharge & ~dirty_before] = self._t_act + self._t_pre
+        delay = np.empty(n, dtype=np.float64)
+        delay[order] = s_delay
+
+        last_bank = s_bank[last]
+        if closed:
+            banks.open_row[last_bank] = -1
+            banks.dirty[last_bank] = False
+        else:
+            banks.open_row[last_bank] = s_row[last]
+            banks.dirty[last_bank] = dirty_after[last]
+        bank_acts = np.bincount(s_bank[miss], minlength=n_total)
+        banks.activations += bank_acts
+
         st = self.stats
-        t_act, t_pre, t_burst, t_wr = self._t_act, self._t_pre, self._t_burst, self._t_wr
-        read_lat = self.tech.read_latency_ns
+        n_miss = int(np.count_nonzero(miss))
+        n_write = int(np.count_nonzero(is_write))
+        st.row_hits += n - n_miss
+        st.row_misses += n_miss
+        st.precharges += int(np.count_nonzero(precharge)) + (n if closed else 0)
+        st.writes += n_write
+        st.reads += n - n_write
+
+        # flat bank = rank * n_banks + bank: per-rank sums are row sums
+        def per_rank(per_bank: np.ndarray) -> list[int]:
+            return per_bank.reshape(self.device.n_ranks, -1).sum(axis=1).tolist()
+
+        rank_accesses = per_rank(np.bincount(flat_bank, minlength=n_total))
+        rank_writes = per_rank(np.bincount(flat_bank[is_write], minlength=n_total))
+        rank_acts = per_rank(bank_acts)
+        for rank, k, n_w, n_act in zip(self.ranks, rank_accesses, rank_writes, rank_acts):
+            activity = rank.activity
+            activity.writes += n_w
+            activity.reads += k - n_w
+            activity.activations += n_act
+            if k:
+                # one burst per access, summed in order (k * t_burst would
+                # round differently)
+                bursts = np.full(k + 1, self._t_burst)
+                bursts[0] = activity.busy_ns
+                activity.busy_ns = float(np.add.accumulate(bursts)[-1])
+
+        # -- phase 2: channel cursor and bank-ready times, in issue order
+        # write-to-read bus turnaround (asymmetric-write devices)
         turnaround = self.tech.channel_turnaround_ns
-        close_after = self.row_policy == "closed"
-        prev_write = self._prev_write
-        for i in range(len(batch)):
-            b = int(flat_bank[i])
-            r = int(row[i])
-            w = bool(is_write[i])
-            # write-to-read bus turnaround (asymmetric-write devices)
-            if prev_write and not w and turnaround > 0.0:
+        prev_write = np.empty(n, dtype=bool)
+        prev_write[0] = self._prev_write
+        prev_write[1:] = is_write[:-1]
+        turn = prev_write & ~is_write & (turnaround > 0.0)
+        # closed page: the auto-precharge writes a dirty row back
+        write_back = np.where(is_write, self._t_wr, 0.0) if closed else np.zeros(n)
+        busy = banks.busy_until.tolist()
+        now = self._now
+        stall = st.bank_stall_ns
+        t_burst = self._t_burst
+        for b, d, t, wb in zip(
+            flat_bank.tolist(), delay.tolist(), turn.tolist(), write_back.tolist()
+        ):
+            if t:
                 now += turnaround
-            prev_write = w
-            # the bank prepares (precharge+activate) independently of the
-            # channel; only the burst itself occupies the data bus, so
-            # activations overlap with other banks' bursts. Reads and
-            # writes both hit the row buffer at bus speed; the technology's
-            # long write latency is paid when a *dirty* row is closed
-            # (array write-back on precharge), the standard PCM row-buffer
-            # organization.
-            bank_ready = busy[b]
-            cur = open_row[b]
-            if cur == r:
-                st.row_hits += 1
-                col_ready = bank_ready
-            else:
-                st.row_misses += 1
-                delay = t_act
-                if cur >= 0:
-                    st.precharges += 1
-                    delay += t_wr if dirty[b] else t_pre
-                dirty[b] = False
-                open_row[b] = r
-                acts[b] += 1
-                col_ready = bank_ready + delay
-            if w:
-                dirty[b] = True
+            # the bank prepares independently of the channel; only the
+            # burst occupies the data bus, so activations overlap with
+            # other banks' bursts
+            col_ready = busy[b] + d
             if col_ready > now:
-                st.bank_stall_ns += col_ready - now
-            burst_start = col_ready if col_ready > now else now
-            now = burst_start + t_burst
-            # a row-buffer hit is a column access at bus speed; the array
-            # read latency was already paid by the activate on a miss
-            busy[b] = burst_start + t_burst
-            rank = self.ranks[b // n_banks_per_rank]
-            rank.record_access(w, t_burst, cur != r)
-            if w:
-                st.writes += 1
+                stall += col_ready - now
+                now = col_ready + t_burst
             else:
-                st.reads += 1
-            if close_after:
-                # closed-page policy: auto-precharge after every access
-                st.precharges += 1
-                if dirty[b]:
-                    busy[b] += t_wr
-                    dirty[b] = False
-                open_row[b] = -1
+                now += t_burst
+            busy[b] = now + wb
+        banks.busy_until[:] = busy
+        st.bank_stall_ns = stall
         self._now = now
-        self._prev_write = prev_write
-        st.elapsed_ns = max(now, float(busy.max()))
+        self._prev_write = bool(is_write[-1])
+        st.elapsed_ns = max(now, float(banks.busy_until.max()))
 
     @property
     def elapsed_ns(self) -> float:

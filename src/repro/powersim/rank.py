@@ -42,15 +42,6 @@ class Rank:
         """Open row per bank of this rank (-1 = precharged)."""
         return list(self._banks.open_row[self.bank_slice])
 
-    def record_access(self, is_write: bool, burst_ns: float, activated: bool) -> None:
-        if is_write:
-            self.activity.writes += 1
-        else:
-            self.activity.reads += 1
-        if activated:
-            self.activity.activations += 1
-        self.activity.busy_ns += burst_ns
-
     def utilization(self, total_ns: float) -> float:
         """Fraction of wall time this rank spent bursting."""
         return self.activity.busy_ns / total_ns if total_ns > 0 else 0.0
