@@ -2,7 +2,8 @@
 
 These are classic pytest-benchmark microbenchmarks over the hot paths:
 instrumentation + analysis pipeline, exact cache simulation, the
-two-phase power-model controller, and the vectorized analyzers.
+two-phase power-model controller, the hybrid-memory page-map lookup and
+DRAM-cache model, and the vectorized analyzers.
 """
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from repro.cachesim import CacheHierarchy, ReferenceCacheHierarchy, TABLE2_CONFIG
 from repro.engine import PipelineEngine, RunSpec
-from repro.nvram import DRAM_DDR3
+from repro.hybrid import DRAMCacheModel, MemoryPool, PageMap
+from repro.nvram import DRAM_DDR3, PCRAM
 from repro.powersim import MemorySystem
 from repro.scavenger import NVScavenger
 from repro.scavenger.buckets import SortedRangeIndex
@@ -115,6 +117,24 @@ def test_power_controller_throughput(benchmark, random_batch):
 
     sys = benchmark.pedantic(run, rounds=2, iterations=1)
     assert sys.controller.stats.accesses == N
+
+
+def test_page_map_lookup_throughput(benchmark, random_batch):
+    """Slot-array page map: pool of every reference in a batch
+    (lookups/sec)."""
+    pm = PageMap()
+    pm.assign_range(0, 1 << 24, MemoryPool.NVRAM)
+    pm.assign_range(1 << 26, 1 << 24, MemoryPool.NVRAM)
+    out = benchmark(pm.pool_of_batch, random_batch.addr)
+    assert out.shape == (N,)
+
+
+def test_dram_cache_throughput(benchmark, random_batch):
+    """DRAM-as-cache model on the array LRU kernel (accesses/sec)."""
+    res = benchmark.pedantic(
+        lambda: DRAMCacheModel(PCRAM, 1 << 20).run([random_batch]),
+        rounds=2, iterations=1)
+    assert res.accesses == N
 
 
 def test_sorted_index_lookup_throughput(benchmark):

@@ -8,6 +8,12 @@ Measures, on the same inputs the pytest-benchmark suite uses:
 * scalar :class:`ReferenceController` vs the two-phase
   :class:`MemoryController` refs/sec on one PCRAM batch, with a
   differential check that bank, rank and controller state match exactly;
+* hybrid memory: the dict-backed :class:`ReferencePageMap` vs the
+  slot-array :class:`PageMap` ``pool_of_batch`` refs/sec over a
+  globals + heap page layout, and the per-access
+  :class:`ReferenceDRAMCacheModel` vs the array :class:`DRAMCacheModel`,
+  with hard differential checks (identical pools; ``==`` on the cache
+  result, floats included);
 * pipeline-engine ``record`` (live instrumented execution) vs ``replay``
   (cached artifact) refs/sec — the *cold* replay (v3 container mapped,
   CRC-swept, and decoded from disk) with its per-phase breakdown
@@ -58,6 +64,8 @@ from repro.cachesim import (
     TABLE2_CONFIG,
 )
 from repro.engine import PipelineEngine, RunSpec
+from repro.hybrid import DRAMCacheModel, MemoryPool, PageMap
+from repro.hybrid.reference import ReferenceDRAMCacheModel, ReferencePageMap
 from repro.nvram import PCRAM
 from repro.powersim import TABLE3_DEVICE, MemoryController
 from repro.powersim.reference import ReferenceController
@@ -146,6 +154,63 @@ def power_controller_section() -> dict:
         "reference_refs_per_s": round(N / t_ref),
         "two_phase_refs_per_s": round(N / t_vec),
         "speedup": round(t_ref / t_vec, 2),
+        "bit_identical": identical,
+    }
+
+
+#: (base, bytes, pool) of the page-map bench: a globals run and a heap
+#: run 256 MiB above it (the layout the workloads' objects occupy), 2560
+#: mapped pages in all
+HYBRID_RANGES = (
+    (0x40_0000, 2 << 20, MemoryPool.NVRAM),
+    (0x40_0000 + (2 << 20), 1 << 20, MemoryPool.DRAM),
+    (0x1040_0000, 6 << 20, MemoryPool.NVRAM),
+    (0x1040_0000 + (6 << 20), 1 << 20, MemoryPool.DRAM),
+)
+#: DRAM-cache capacity of the hybrid bench; the batch's 128 MiB address
+#: range dwarfs it, so the mix is miss-heavy (fills and writebacks)
+HYBRID_DRAM_CACHE_BYTES = 1 << 20
+
+
+def hybrid_section() -> dict:
+    rng = make_rng(4)
+    lo, hi = HYBRID_RANGES[0][0], HYBRID_RANGES[-1][0] + HYBRID_RANGES[-1][1]
+    addrs = rng.integers(lo, hi, N, dtype=np.uint64)
+    maps = []
+    for cls in (ReferencePageMap, PageMap):
+        pm = cls()
+        for base, size, pool in HYBRID_RANGES:
+            pm.assign_range(base, size, pool)
+        maps.append(pm)
+    t_ref_map, pools_ref = best_of(lambda: maps[0].pool_of_batch(addrs))
+    t_map, pools = best_of(lambda: maps[1].pool_of_batch(addrs))
+
+    batch = make_batch()
+
+    def run_cache(cls):
+        return cls(PCRAM, HYBRID_DRAM_CACHE_BYTES).run([batch])
+
+    t_ref_cache, res_ref = best_of(lambda: run_cache(ReferenceDRAMCacheModel))
+    t_cache, res = best_of(lambda: run_cache(DRAMCacheModel))
+    identical = np.array_equal(pools_ref, pools) and res_ref == res
+    if not identical:
+        raise SystemExit("differential check failed: hybrid-memory results diverge")
+    return {
+        "refs": N,
+        "mapped_pages": maps[1].mapped_pages,
+        "pool_of_batch": {
+            "reference_refs_per_s": round(N / t_ref_map),
+            "array_refs_per_s": round(N / t_map),
+            "speedup": round(t_ref_map / t_map, 2),
+        },
+        "dram_cache": {
+            "capacity_bytes": HYBRID_DRAM_CACHE_BYTES,
+            "technology": PCRAM.name,
+            "hit_rate": round(res.hit_rate, 4),
+            "reference_refs_per_s": round(N / t_ref_cache),
+            "array_refs_per_s": round(N / t_cache),
+            "speedup": round(t_ref_cache / t_cache, 2),
+        },
         "bit_identical": identical,
     }
 
@@ -477,6 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "cache_hierarchy": cache_section(),
             "power_controller": power_controller_section(),
+            "hybrid": hybrid_section(),
             "engine": engine_section(tmp),
             "scheduler": scheduler_section(tmp),
             "queue": queue_section(tmp),

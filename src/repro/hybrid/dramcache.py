@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cachesim.cache import AccessResult, SetAssociativeCache
 from repro.cachesim.config import CacheLevelConfig
+from repro.cachesim.hierarchy import ArraySetCache
 from repro.errors import ConfigurationError
 from repro.hybrid.pagemap import MemoryPool, PageMap
 from repro.nvram.technology import DRAM_DDR3, MemoryTechnology
@@ -73,7 +73,16 @@ class HorizontalResult:
 
 
 class DRAMCacheModel:
-    """The hierarchical organization."""
+    """The hierarchical organization.
+
+    The DRAM cache runs on the cache filter's exact-LRU array kernel
+    (:class:`~repro.cachesim.hierarchy.ArraySetCache`), one
+    ``run_stream`` call per batch. Latency and energy are sums of
+    per-access increments taken in the scalar walk's order (probe, then
+    fill, then writeback) with ``np.add.accumulate``, which adds strictly
+    left to right, so both floats match
+    :class:`~repro.hybrid.reference.ReferenceDRAMCacheModel` bit for bit.
+    """
 
     def __init__(
         self,
@@ -90,12 +99,11 @@ class DRAMCacheModel:
         n_lines = max(associativity, dram_capacity_bytes // line_bytes)
         n_sets = 1 << max(0, (n_lines // associativity - 1).bit_length())
         size = n_sets * associativity * line_bytes
-        self.cache = SetAssociativeCache(
-            CacheLevelConfig(
-                name="DRAM$", size_bytes=size, associativity=associativity,
-                line_bytes=line_bytes,
-            )
+        self.config = CacheLevelConfig(
+            name="DRAM$", size_bytes=size, associativity=associativity,
+            line_bytes=line_bytes,
         )
+        self.cache = ArraySetCache(self.config)
         self.nvram = nvram
         self.dram = dram
         self.capacity = size
@@ -106,34 +114,8 @@ class DRAMCacheModel:
         self._e_nv_read_nj = nvram.read_power_mw * 10.0 / 1e3
         self._e_nv_write_nj = nvram.write_power_mw * 10.0 / 1e3
 
-    def run(self, trace: list[RefBatch]) -> HierarchicalResult:
-        cache = self.cache
-        dram_lat = self.dram.read_latency_ns
-        nv_read = self.nvram.read_latency_ns
-        nv_write = self.nvram.write_latency_ns
-        hits = fills = writebacks = 0
-        latency = 0.0
-        energy = 0.0
-        n = 0
-        for batch in trace:
-            lines = (batch.addr >> np.uint64(self._line_shift)).astype(np.int64)
-            writes = batch.is_write
-            n += len(lines)
-            for i in range(len(lines)):
-                res, victim = cache.access(int(lines[i]), bool(writes[i]))
-                latency += dram_lat  # the probe/array access
-                energy += self._e_dram_nj
-                if res is AccessResult.HIT:
-                    hits += 1
-                    continue
-                # miss: fill the line from NVRAM
-                fills += 1
-                latency += nv_read
-                energy += self._e_nv_read_nj
-                if victim >= 0:
-                    writebacks += 1
-                    # the writeback is off the critical path (no latency)
-                    energy += self._e_nv_write_nj
+    def _result(self, n: int, hits: int, fills: int, writebacks: int,
+                latency: float, energy: float) -> HierarchicalResult:
         total_time_ns = latency  # serialized model: latency ~ occupancy
         energy += self._standby_mw * total_time_ns / 1e3
         return HierarchicalResult(
@@ -144,6 +126,54 @@ class DRAMCacheModel:
             total_latency_ns=latency,
             energy_nj=energy,
         )
+
+    def run(self, trace: list[RefBatch]) -> HierarchicalResult:
+        cache = self.cache
+        hits = fills = writebacks = n = 0
+        latency = 0.0
+        energy = 0.0
+        for batch in trace:
+            m = len(batch)
+            if m == 0:
+                continue
+            lines = (batch.addr >> np.uint64(self._line_shift)).astype(np.int64)
+            hit, _, victim, _ = cache.run_stream(
+                lines & cache._set_mask, lines >> cache._set_bits,
+                np.ascontiguousarray(batch.is_write), np.zeros(m, np.int32))
+            miss = ~hit
+            dirty = victim >= 0
+            n += m
+            n_miss = int(np.count_nonzero(miss))
+            hits += m - n_miss
+            fills += n_miss
+            writebacks += int(np.count_nonzero(dirty))
+            latency = self._sequential_sum(
+                latency, m, self.dram.read_latency_ns,
+                (miss, self.nvram.read_latency_ns))
+            energy = self._sequential_sum(
+                energy, m, self._e_dram_nj,
+                (miss, self._e_nv_read_nj), (dirty, self._e_nv_write_nj))
+        return self._result(n, hits, fills, writebacks, latency, energy)
+
+    @staticmethod
+    def _sequential_sum(start: float, m: int, per_access: float,
+                        *extras: tuple[np.ndarray, float]) -> float:
+        """``start`` plus, for each of *m* accesses in order, *per_access*
+        and then each ``(mask, value)`` extra the access's mask selects —
+        added one at a time, left to right, like the scalar loop."""
+        # per-access slot counts: 1 + one per selected extra
+        width = np.ones(m, dtype=np.int64)
+        for mask, _ in extras:
+            width += mask
+        first = np.cumsum(width) - width + 1  # slot 0 holds *start*
+        inc = np.empty(int(width.sum()) + 1, dtype=np.float64)
+        inc[0] = start
+        inc[first] = per_access
+        nxt = first + 1
+        for mask, value in extras:
+            inc[nxt[mask]] = value
+            nxt += mask
+        return float(np.add.accumulate(inc)[-1])
 
 
 class HorizontalModel:

@@ -92,7 +92,6 @@ class DynamicMigrator:
 
     def end_epoch(self) -> tuple[int, int]:
         """Apply the policy, decay scores; returns (to_dram, to_nvram)."""
-        to_dram = to_nvram = 0
         # sorted: set iteration order is salted per process, and the
         # migration budget below must cut the same pages on every host
         pages = sorted(set(self._write_score) | set(self._read_score))
@@ -102,17 +101,16 @@ class DynamicMigrator:
             # (score-agnostic, matching a controller that scans a window)
             idx = self._rng.choice(len(pages), size=budget, replace=False)
             pages = [pages[i] for i in sorted(idx.tolist())]
-        for p in pages:
-            wscore = self._write_score.get(p, 0.0)
-            rscore = self._read_score.get(p, 0.0)
-            if wscore >= self.write_hot:
-                # frequently-written page: belongs in DRAM
-                if self.page_map.migrate_page(p, MemoryPool.DRAM):
-                    to_dram += 1
-            elif rscore >= self.read_popular or (rscore > 0 and wscore == 0):
-                # read-popular / read-only page: belongs in NVRAM
-                if self.page_map.migrate_page(p, MemoryPool.NVRAM):
-                    to_nvram += 1
+        wscore = np.array([self._write_score.get(p, 0.0) for p in pages])
+        rscore = np.array([self._read_score.get(p, 0.0) for p in pages])
+        pages = np.array(pages, dtype=np.uint64)
+        # frequently-written pages belong in DRAM; read-popular and
+        # read-only pages in NVRAM (pages are distinct, so one batch
+        # move per pool equals moving them one at a time)
+        hot = wscore >= self.write_hot
+        cold = ~hot & ((rscore >= self.read_popular) | ((rscore > 0) & (wscore == 0)))
+        to_dram = int(self.page_map.migrate_pages(pages[hot], MemoryPool.DRAM).sum())
+        to_nvram = int(self.page_map.migrate_pages(pages[cold], MemoryPool.NVRAM).sum())
         # exponential decay so stale behavior ages out
         for score in (self._write_score, self._read_score):
             for p in list(score):

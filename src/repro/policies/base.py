@@ -4,7 +4,12 @@ A policy owns one :class:`~repro.hybrid.pagemap.PageMap` for the duration
 of one evaluated run: it lays down the initial placement in
 :meth:`PlacementPolicy.prepare`, watches the replayed reference stream
 through :meth:`observe` (and, for emergency demotions, :meth:`pre_access`),
-and acts at epoch boundaries in :meth:`end_epoch`. The shape follows the
+and acts at epoch boundaries in :meth:`end_epoch`. Hooks work on arrays
+indexed by the page map's *slots* (one per mapped page, append-only):
+:meth:`PlacementPolicy.slot_counts` folds a batch into per-slot counts,
+and :meth:`PlacementPolicy.migrate_slots` moves a set of slots with the
+shared accounting. Pages off the map (stacks) are DRAM-resident and are
+never scored. The shape follows the
 data-migration strategy base classes of HBM/NVM serving simulators: a
 small ABC with a no-op baseline subclass, concrete strategies overriding
 one decision method, and every knob passed explicitly so a policy instance
@@ -53,14 +58,36 @@ class PolicyContext:
     #: NV-SCAVENGER classifications, when the caller ran the analyzers
     #: (oracle-style policies require them; others may ignore them)
     classified: list[Classified] | None = None
-    #: page -> accumulated NVM write count, maintained by the evaluator
+    #: per-slot accumulated NVM write count, maintained by the evaluator
     #: (reference writes) and by :meth:`PlacementPolicy.migrate` (fills)
-    wear: dict[int, int] = field(default_factory=dict)
+    slot_wear: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
     n_iterations: int = 10
 
     @property
     def page_bytes(self) -> int:
         return self.page_map.page_bytes
+
+    @property
+    def wear(self) -> dict[int, int]:
+        """Page -> accumulated NVM write count, for every worn page."""
+        worn = np.flatnonzero(self.slot_wear)
+        return dict(zip(self.page_map.slot_pages[worn].tolist(),
+                        self.slot_wear[worn].tolist()))
+
+    def add_wear(self, slots: np.ndarray) -> None:
+        """One unit of NVM wear per entry of *slots* (repeats add up)."""
+        n = self.page_map.mapped_pages
+        self.slot_wear = grow(self.slot_wear, n) + np.bincount(slots, minlength=n)
+
+
+def grow(arr: np.ndarray, n: int) -> np.ndarray:
+    """*arr* zero-extended to *n* slots (a page map only appends slots)."""
+    if len(arr) >= n:
+        return arr
+    out = np.zeros(n, dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
 
 
 class PlacementPolicy(ABC):
@@ -124,15 +151,35 @@ class PlacementPolicy(ABC):
         NVM wears its cells once."""
         assert self.ctx is not None
         pm = self.ctx.page_map
-        if not pm.migrate_page(int(page), pool):
+        if not pm.migrate_page(page, pool):
             return False
-        if pool is MemoryPool.NVRAM:
-            self.to_nvram += 1
-            self.ctx.wear[int(page)] = self.ctx.wear.get(int(page), 0) + 1
-        else:
-            self.to_dram += 1
-        self.bytes_moved += pm.page_bytes
+        self._account(pm.slots_of_pages(np.array([page], dtype=np.uint64)), pool)
         return True
+
+    def migrate_slots(self, slots: np.ndarray, pool: MemoryPool) -> np.ndarray:
+        """Batch :meth:`migrate` over distinct mapped *slots*; returns the
+        mask of slots that actually moved."""
+        assert self.ctx is not None
+        slots = np.asarray(slots, dtype=np.int64)
+        moved = self.ctx.page_map.migrate_slots(slots, pool)
+        self._account(slots[moved], pool)
+        return moved
+
+    def _account(self, moved: np.ndarray, pool: MemoryPool) -> None:
+        n = len(moved)
+        if pool == MemoryPool.NVRAM:
+            self.to_nvram += n
+            self.ctx.add_wear(moved)
+        else:
+            self.to_dram += n
+        self.bytes_moved += n * self.ctx.page_bytes
+
+    def slot_counts(self, addrs: np.ndarray) -> np.ndarray:
+        """Per-slot reference counts of *addrs* (``int64``, one entry per
+        mapped page); addresses off the map are dropped."""
+        pm = self.ctx.page_map
+        slots = pm.slots_of_batch(addrs)
+        return np.bincount(slots[slots >= 0], minlength=pm.mapped_pages)
 
     @property
     def migrations(self) -> int:
@@ -148,11 +195,6 @@ class PlacementPolicy(ABC):
         uniq, counts = np.unique(np.asarray(addrs, np.uint64) >> shift,
                                  return_counts=True)
         return [int(p) for p in uniq.tolist()], [int(c) for c in counts.tolist()]
-
-    @classmethod
-    def write_pages(cls, batch: RefBatch, page_bytes: int) -> tuple[list[int], list[int]]:
-        """(pages, counts) of the batch's store references, page-sorted."""
-        return cls.page_counts(batch.addr[batch.is_write], page_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kv = ", ".join(f"{k}={v!r}" for k, v in self._params.items())

@@ -22,8 +22,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.hybrid.energy import access_energy_nj
 from repro.hybrid.pagemap import MemoryPool, PageMap
 from repro.nvram.technology import DRAM_DDR3, MemoryTechnology
@@ -158,7 +156,6 @@ def evaluate_policy(
     stats = PolicyCellStats(
         policy=policy.name, workload=workload, device=device.name,
         endurance_budget=int(endurance_budget), params=policy.params())
-    shift = np.uint64(page_bytes.bit_length() - 1)
     epoch = None
     for batch in trace:
         if len(batch) == 0:
@@ -179,10 +176,7 @@ def evaluate_policy(
         stats.nvm_writes += nv_w
         stats.dram_accesses += int((~in_nv).sum())
         if nv_w:
-            pages = batch.addr[nv_w_mask] >> shift
-            uniq, counts = np.unique(pages, return_counts=True)
-            for p, c in zip(uniq.tolist(), counts.tolist()):
-                ctx.wear[int(p)] = ctx.wear.get(int(p), 0) + int(c)
+            ctx.add_wear(page_map.slots_of_batch(batch.addr[nv_w_mask]))
         policy.observe(batch)
     if epoch is not None:
         policy.end_epoch(epoch)
@@ -192,7 +186,7 @@ def evaluate_policy(
     stats.bytes_moved = policy.bytes_moved
     lines_per_page = page_bytes // LINE_BYTES
     stats.nvm_fill_writes = policy.to_nvram * lines_per_page
-    stats.max_page_wear = max(ctx.wear.values(), default=0)
+    stats.max_page_wear = int(ctx.slot_wear.max(initial=0))
 
     # residency: object bytes not mapped to NVM live in DRAM (unmapped
     # pages — stacks — are DRAM by definition and excluded here)

@@ -4,15 +4,20 @@ Five strategies spanning the design space the related work argues about:
 a do-nothing baseline, the paper's static NV-SCAVENGER plan, reactive
 threshold migration with hysteresis, EWMA-predictive migration, and a
 wear-budgeted endurance guard. Each is ~30 lines: the ABC carries the
-shared accounting, a policy only encodes its decision rule.
+shared accounting, a policy only encodes its decision rule — as array
+expressions over page-map slots, each page's decay and EWMA arithmetic
+in the same order as a per-page loop, so results stay bit-identical to
+one (``tests/policy_oracle.py``).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import PolicyError
 from repro.hybrid.pagemap import MemoryPool
 from repro.hybrid.placement import StaticPlacer
-from repro.policies.base import PlacementPolicy
+from repro.policies.base import PlacementPolicy, grow
 from repro.policies.registry import register_policy
 from repro.trace.record import RefBatch
 
@@ -84,43 +89,30 @@ class ThresholdMigration(PlacementPolicy):
         self.write_hot = write_hot
         self.hysteresis = hysteresis
         self.decay = decay
-        self._w: dict[int, float] = {}
-        self._r: dict[int, float] = {}
-        self._promoted: set[int] = set()
-
-    def bind(self, ctx) -> None:
-        self._w.clear()
-        self._r.clear()
-        self._promoted.clear()
-        super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
+        n = self.ctx.page_map.mapped_pages
+        # decayed per-slot write/read scores and the promoted-slot mask
+        self._w = np.zeros(n)
+        self._r = np.zeros(n)
+        self._promoted = np.zeros(n, dtype=bool)
 
     def observe(self, batch: RefBatch) -> None:
-        pb = self.ctx.page_bytes
-        for page, count in zip(*self.page_counts(batch.addr[batch.is_write], pb)):
-            self._w[page] = self._w.get(page, 0.0) + count
-        for page, count in zip(*self.page_counts(batch.addr[~batch.is_write], pb)):
-            self._r[page] = self._r.get(page, 0.0) + count
+        self._w += self.slot_counts(batch.addr[batch.is_write])
+        self._r += self.slot_counts(batch.addr[~batch.is_write])
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(set(self._w) | set(self._r)):
-            w = self._w.get(page, 0.0)
-            r = self._r.get(page, 0.0)
-            if w >= self.write_hot and pm.pool_of_page(page) is MemoryPool.NVRAM:
-                if self.migrate(page, MemoryPool.DRAM):
-                    self._promoted.add(page)
-            elif (page in self._promoted and w <= self.write_hot * self.hysteresis
-                  and w < 1.0 and r > 0.0):
-                if self.migrate(page, MemoryPool.NVRAM):
-                    self._promoted.discard(page)
-        for score in (self._w, self._r):
-            for page in list(score):
-                score[page] *= self.decay
-                if score[page] < 1e-6:
-                    del score[page]
+        w, r, promoted = self._w, self._r, self._promoted
+        up = (w >= self.write_hot) & (self.ctx.page_map.slot_pools == MemoryPool.NVRAM)
+        down = (~up & promoted & (w <= self.write_hot * self.hysteresis)
+                & (w < 1.0) & (r > 0.0))
+        up = np.flatnonzero(up)
+        promoted[up[self.migrate_slots(up, MemoryPool.DRAM)]] = True
+        down = np.flatnonzero(down)
+        promoted[down[self.migrate_slots(down, MemoryPool.NVRAM)]] = False
+        _decay(w, self.decay)
+        _decay(r, self.decay)
 
 
 @register_policy
@@ -147,42 +139,34 @@ class PredictiveMigration(PlacementPolicy):
         self.alpha = alpha
         self.write_hot = write_hot
         self.demote_margin = demote_margin
-        self._epoch_w: dict[int, int] = {}
-        self._ewma: dict[int, float] = {}
-        self._promoted: set[int] = set()
-
-    def bind(self, ctx) -> None:
-        self._epoch_w.clear()
-        self._ewma.clear()
-        self._promoted.clear()
-        super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
+        n = self.ctx.page_map.mapped_pages
+        # this window's per-slot write counts, the EWMA forecast (0 = no
+        # forecast) and the promoted-slot mask
+        self._epoch_w = np.zeros(n, dtype=np.int64)
+        self._ewma = np.zeros(n)
+        self._promoted = np.zeros(n, dtype=bool)
 
     def observe(self, batch: RefBatch) -> None:
-        for page, count in zip(*self.write_pages(batch, self.ctx.page_bytes)):
-            self._epoch_w[page] = self._epoch_w.get(page, 0) + count
+        self._epoch_w += self.slot_counts(batch.addr[batch.is_write])
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(set(self._ewma) | set(self._epoch_w)):
-            count = self._epoch_w.get(page, 0)
-            pred = (self.alpha * count
-                    + (1.0 - self.alpha) * self._ewma.get(page, 0.0))
-            if pred < 1e-3:
-                self._ewma.pop(page, None)
-            else:
-                self._ewma[page] = pred
-            if pred >= self.write_hot:
-                if (pm.pool_of_page(page) is MemoryPool.NVRAM
-                        and self.migrate(page, MemoryPool.DRAM)):
-                    self._promoted.add(page)
-            elif (pred < self.write_hot * self.demote_margin
-                  and page in self._promoted):
-                if self.migrate(page, MemoryPool.NVRAM):
-                    self._promoted.discard(page)
-        self._epoch_w.clear()
+        count, ewma, promoted = self._epoch_w, self._ewma, self._promoted
+        # only slots with a forecast or writes this window are judged: a
+        # promoted page whose forecast was dropped stays in DRAM until
+        # it is written again
+        live = (count != 0) | (ewma != 0)
+        pred = self.alpha * count + (1.0 - self.alpha) * ewma
+        hot = pred >= self.write_hot
+        up = np.flatnonzero(hot & (self.ctx.page_map.slot_pools == MemoryPool.NVRAM))
+        promoted[up[self.migrate_slots(up, MemoryPool.DRAM)]] = True
+        down = np.flatnonzero(
+            live & ~hot & (pred < self.write_hot * self.demote_margin) & promoted)
+        promoted[down[self.migrate_slots(down, MemoryPool.NVRAM)]] = False
+        self._ewma = np.where(pred < 1e-3, 0.0, pred)
+        count[:] = 0
 
 
 @register_policy
@@ -205,35 +189,31 @@ class EnduranceAware(PlacementPolicy):
         super().__init__(write_hot=write_hot, decay=decay)
         self.write_hot = write_hot
         self.decay = decay
-        self._w: dict[int, float] = {}
-
-    def bind(self, ctx) -> None:
-        self._w.clear()
-        super().bind(ctx)
 
     def prepare(self) -> None:
         self.place_all(MemoryPool.NVRAM)
+        self._w = np.zeros(self.ctx.page_map.mapped_pages)  # decayed write score
 
     def pre_access(self, batch: RefBatch) -> None:
         ctx = self.ctx
-        pm = ctx.page_map
-        budget = ctx.endurance_budget
-        for page, count in zip(*self.write_pages(batch, ctx.page_bytes)):
-            if (pm.pool_of_page(page) is MemoryPool.NVRAM
-                    and ctx.wear.get(page, 0) + count > budget):
-                self.migrate(page, MemoryPool.DRAM)
+        count = self.slot_counts(batch.addr[batch.is_write])
+        wear = grow(ctx.slot_wear, len(count))
+        guard = ((count > 0) & (ctx.page_map.slot_pools == MemoryPool.NVRAM)
+                 & (wear + count > ctx.endurance_budget))
+        self.migrate_slots(np.flatnonzero(guard), MemoryPool.DRAM)
 
     def observe(self, batch: RefBatch) -> None:
-        for page, count in zip(*self.write_pages(batch, self.ctx.page_bytes)):
-            self._w[page] = self._w.get(page, 0.0) + count
+        self._w += self.slot_counts(batch.addr[batch.is_write])
 
     def end_epoch(self, iteration: int) -> None:
-        pm = self.ctx.page_map
-        for page in sorted(self._w):
-            if (self._w[page] >= self.write_hot
-                    and pm.pool_of_page(page) is MemoryPool.NVRAM):
-                self.migrate(page, MemoryPool.DRAM)
-        for page in list(self._w):
-            self._w[page] *= self.decay
-            if self._w[page] < 1e-6:
-                del self._w[page]
+        up = ((self._w >= self.write_hot)
+              & (self.ctx.page_map.slot_pools == MemoryPool.NVRAM))
+        self.migrate_slots(np.flatnonzero(up), MemoryPool.DRAM)
+        _decay(self._w, self.decay)
+
+
+def _decay(score: np.ndarray, decay: float) -> None:
+    """One epoch of exponential decay, in place; scores under 1e-6 age
+    out to 0."""
+    score *= decay
+    score[score < 1e-6] = 0.0

@@ -88,6 +88,16 @@ class TestPageMap:
         assert pm.assign_range(base, 4096, MemoryPool.NVRAM) == 1
         assert pm.pool_of(base) is MemoryPool.NVRAM
 
+    def test_range_running_past_address_space_is_rejected(self):
+        pm = PageMap(page_bytes=4096)
+        # [2**64 - 4096, 2**64 + 4096) would name a page past the top
+        with pytest.raises(PlacementError):
+            pm.assign_range((1 << 64) - 4096, 8192, MemoryPool.NVRAM)
+        with pytest.raises(PlacementError):
+            pm.pages_of_range((1 << 64) - 1, 2)
+        assert pm.mapped_pages == 0
+        assert pm.bytes_in_pool(MemoryPool.NVRAM) == 0
+
     def test_pool_of_batch_at_top_of_address_space(self):
         pm = PageMap(page_bytes=4096)
         top = (1 << 64) - 4096
