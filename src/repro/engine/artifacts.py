@@ -64,7 +64,7 @@ from repro.trace.fsio import content_digest_from_crcs
 from repro.trace.io import OsFS, TraceReader, TraceWriter
 from repro.trace.record import RefBatch
 
-from repro.engine.locks import KeyLock
+from repro.engine.locks import KeyLock, pid_alive
 from repro.engine.spec import RunSpec
 
 _log = logging.getLogger("repro.engine.cache")
@@ -131,16 +131,6 @@ def _host_tag() -> str:
     return hashlib.sha256(socket.gethostname().encode()).hexdigest()[:8]
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
-
-
 def _stage_orphan_reason(name: str, age_s: float) -> str | None:
     """Why a staged recording is safe to evict, or None while it may be
     live.
@@ -153,7 +143,7 @@ def _stage_orphan_reason(name: str, age_s: float) -> str | None:
         return f"stale fenced stage ({age_s:.0f}s old, abandoned recording)"
     suffix = name.split(STAGE_MARKER, 1)[-1]
     m = _STAGE_SUFFIX_RE.match(suffix)
-    if m and m.group(3) == _host_tag() and not _pid_alive(int(m.group(2))):
+    if m and m.group(3) == _host_tag() and not pid_alive(int(m.group(2))):
         return (f"orphaned fenced stage (local recorder pid {m.group(2)} "
                 f"is gone)")
     return None

@@ -48,6 +48,18 @@ from repro.errors import CacheLockError, FencedOutError
 _POLL_S = 0.01
 
 
+def pid_alive(pid: int) -> bool:
+    """Whether *pid* names a live process on this host (a pid we may
+    not signal still exists)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OSError):
+        return True
+    return True
+
+
 # ----------------------------------------------------------------------
 def read_fence(path: str) -> int:
     """The minimum fencing epoch *path* currently accepts (0 = no fence

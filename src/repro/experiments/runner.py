@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import signal
-import sys
 from typing import Callable
 
 from repro.errors import ConfigurationError, SuiteInterrupted
@@ -103,23 +102,15 @@ def artifact_names(
     """Distinct artifact names the given experiments declare, in order.
 
     Each experiment module may export ``ARTIFACTS``: the app names (or
-    ``variant:<app>`` entries) it replays at context fidelity. Entries
-    whose base application is outside *apps* are skipped —
-    ``workload:<family>`` entries pass unconditionally, since workload
-    families are not restricted by the context's app list.
+    ``variant:<app>`` entries) it replays at context fidelity, filtered
+    to *apps* by :func:`repro.sched.suite.declared_artifacts` — the same
+    rule the scheduler's task graph uses.
     """
-    from repro.engine.spec import WORKLOAD_PREFIX
+    from repro.sched.suite import declared_artifacts
 
-    allowed = set(apps)
-    seen: list[str] = []
-    for fn in exps.values():
-        mod = sys.modules.get(getattr(fn, "__module__", ""), None)
-        for name in getattr(mod, "ARTIFACTS", ()):
-            base = name.split(":", 1)[1] if ":" in name else name
-            if ((base in allowed or name.startswith(WORKLOAD_PREFIX))
-                    and name not in seen):
-                seen.append(name)
-    return seen
+    return list(dict.fromkeys(
+        name for names in declared_artifacts(exps, apps).values()
+        for name in names or ()))
 
 
 def run_all(

@@ -13,10 +13,13 @@ The subsystem has four layers:
   fsync'd JSONL appends under ``<cache-root>/runs/<run-id>/``, torn-tail
   truncation, and the replay that turns a journal back into scheduler
   state for ``resume=``;
-* :mod:`repro.sched.scheduler` — the bounded worker pool: liveness- and
-  timeout-based crash detection, deterministic retry-with-reseed,
-  structured progress events, graceful SIGINT/SIGTERM drain, and
-  dependency-failure skip propagation;
+* :mod:`repro.sched.core` — the transport-independent coordinator:
+  ready set, deterministic retry-with-reseed, task timeouts, structured
+  progress events and their journal entries, graceful SIGINT/SIGTERM
+  drain, dependency-failure skip propagation, and the run report —
+  driven through a small ``Executor`` protocol;
+* :mod:`repro.sched.scheduler` — the coordinator bound to a bounded
+  local worker pool (liveness-based crash detection);
 * :mod:`repro.sched.suite` — the ``run_all(jobs=N)`` entry point:
   canonical result ordering and parent-side stats merging, so a
   parallel suite run is bit-identical to a sequential one — resumed or

@@ -40,11 +40,12 @@ Lease protocol and the zombie problem:
   wakes up* — a SIGSTOPped zombie that thaws after its task was
   reassigned and finished is refused at every write path with
   :class:`~repro.errors.FencedOutError`.
-* **retry** — a revoked or crashed attempt requeues with the scheduler's
-  deterministic reseed policy (``seed + attempt * reseed_stride``;
-  record tasks never reseed because the spec *is* their cache key), and
-  a task out of retries dooms its transitive dependents exactly like
-  the process transport (:func:`repro.sched.scheduler.skip_dependents`).
+* **retry** — the queue executor fences a lost attempt off, then hands
+  the loss to the shared coordinator core (:mod:`repro.sched.core`),
+  which retries with the deterministic reseed (``seed + attempt *
+  reseed_stride``; record tasks never reseed because the spec *is*
+  their cache key) or fails the task and dooms its transitive
+  dependents — the same code path as the process transport.
 
 Results stay bit-identical to a sequential ``jobs=1`` run under
 arbitrary worker SIGKILLs for the same reason the process pool's do:
@@ -60,42 +61,28 @@ import json
 import multiprocessing
 import os
 import re
-import signal
 import socket
 import sys
 import threading
 import time
-import traceback
 from dataclasses import asdict
 
 from repro.engine.artifacts import QUEUE_DIR, QUEUE_LEASES_DIR
-from repro.engine.locks import FencingToken, read_fence, write_fence
+from repro.engine.locks import FencingToken, pid_alive, read_fence, write_fence
 from repro.errors import FencedOutError, QueueError, SchedulerError
-from repro.sched.events import (
-    TASK_FAILED,
-    TASK_FINISHED,
-    TASK_RETRIED,
-    TASK_STARTED,
-    EventLog,
-    SchedulerReport,
-)
-from repro.sched.graph import RecordTask, TaskGraph
+from repro.sched.core import Coordinator, SchedulerOutcome
+from repro.sched.graph import TaskGraph
 from repro.sched.journal import (
-    RunJournal,
     decode_payload,
     encode_payload,
     run_dir,
 )
-from repro.sched.scheduler import (
-    INTERRUPT_SIGNALS,
-    SchedulerOutcome,
-    default_start_method,
-    skip_dependents,
-)
+from repro.sched.scheduler import default_start_method, stop_process
 from repro.sched.workers import (
     WorkerConfig,
-    run_experiment_task,
-    run_record_task,
+    error_info,
+    run_task,
+    set_worker_signals,
 )
 from repro.trace.fsio import OsFS
 
@@ -154,16 +141,6 @@ def _read_json(path: str) -> dict | None:
     except (OSError, ValueError):
         return None
     return obj if isinstance(obj, dict) else None
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +391,9 @@ class QueueWorker:
         """Scan ready files in deterministic order and claim the first
         available task; returns ``(entry, lease)`` or None."""
         for entry in self.queue.ready_entries():
+            if os.path.exists(self.queue.result_path(entry["task_id"],
+                                                     int(entry["epoch"]))):
+                continue  # ran already; the coordinator has yet to collect
             lease = self.queue.try_claim(entry, self.worker_id)
             if lease is not None:
                 return entry, lease
@@ -445,52 +425,39 @@ class QueueWorker:
                               args=(lease, stop), daemon=True)
         hb.start()
         t0 = time.perf_counter()
-        status, payload, info = "ok", None, None
         try:
             task = self.graph.tasks.get(task_id)
             if task is None:
                 raise QueueError(
                     f"queue advertised task {task_id!r} but the manifest "
                     f"graph has no such task")
-            if isinstance(task, RecordTask):
-                payload = run_record_task(task.spec, self.cfg, fence=token)
-            else:
-                payload = run_experiment_task(task.exp_id, None, self.cfg,
-                                              seed_offset, fence=token)
-            # the last line of defense: even a task that never touched
-            # the cache must not publish a result for a revoked epoch
-            token.check(f"result publish for task {task_id}")
+            status, body = run_task(task, self.cfg, seed_offset, fence=token)
+            if status == "ok":
+                # the last line of defense: even a task that never
+                # touched the cache must not publish a result for a
+                # revoked epoch
+                token.check(f"result publish for task {task_id}")
         except FencedOutError:
             status = "fenced"
             self.fenced += 1
-        except BaseException as exc:  # noqa: BLE001 — report, stay alive
-            status = "error"
-            tb = traceback.format_exc().strip().splitlines()
-            info = {
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback_tail": "\n".join(tb[-3:]),
-                "pid": os.getpid(),
-            }
+        except QueueError as exc:
+            status, body = "error", error_info(exc)
         finally:
             stop.set()
             hb.join(timeout=2.0)
-        if status == "ok":
-            self.queue.write_result(task_id, epoch, {
-                "task_id": task_id, "epoch": epoch, "attempt": attempt,
-                "worker_id": self.worker_id, "status": "ok",
-                "wall_s": round(time.perf_counter() - t0, 6),
-                "payload": encode_payload(payload),
-            })
-            self.completed += 1
-        elif status == "error":
-            self.queue.write_result(task_id, epoch, {
-                "task_id": task_id, "epoch": epoch, "attempt": attempt,
-                "worker_id": self.worker_id, "status": "error",
-                "wall_s": round(time.perf_counter() - t0, 6),
-                "info": info,
-            })
         # fenced: publish nothing — the winner's epoch owns the result
+        if status != "fenced":
+            rec = {
+                "task_id": task_id, "epoch": epoch, "attempt": attempt,
+                "worker_id": self.worker_id, "status": status,
+                "wall_s": round(time.perf_counter() - t0, 6),
+            }
+            if status == "ok":
+                rec["payload"] = encode_payload(body)
+                self.completed += 1
+            else:
+                rec["info"] = body
+            self.queue.write_result(task_id, epoch, rec)
         self.queue.release(lease)
         return status
 
@@ -520,31 +487,25 @@ class QueueWorker:
 def _local_worker_main(cache_root: str, run_id: str, worker_id: str,
                        poll_s: float) -> None:
     """Entry point of a coordinator-spawned local worker process."""
-    try:
-        # same rationale as the process transport's workers: the
-        # coordinator drains on SIGINT/SIGTERM; workers only stop when
-        # told (STOP file / terminate())
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):  # pragma: no cover — exotic platforms
-        pass
+    set_worker_signals()
     worker = QueueWorker(cache_root, run_id, worker_id=worker_id,
                          poll_s=poll_s)
     sys.exit(worker.run())
 
 
 # ----------------------------------------------------------------------
-class QueueCoordinator:
+class QueueCoordinator(Coordinator):
     """Drives one suite run over the filesystem queue.
 
-    Publishes the manifest and ready files, optionally spawns ``jobs``
-    local worker processes (any number of remote ``nvscavenger work``
-    agents may join too), collects epoch-validated results, revokes
-    stale leases (heartbeat older than ``lease_ttl_s``, dead local pid,
-    or past ``task_timeout_s``), and applies the same retry /
-    dependency-skip policy as the process transport. Produces the same
-    :class:`~repro.sched.scheduler.SchedulerOutcome` shape, so the
-    suite layer treats both transports identically.
+    The :class:`~repro.sched.core.Coordinator` bound to a
+    :class:`QueueExecutor`: publishes the manifest and ready files,
+    optionally spawns ``jobs`` local worker processes (any number of
+    remote ``nvscavenger work`` agents may join too), collects
+    epoch-validated results, and revokes stale leases (heartbeat older
+    than ``lease_ttl_s``, dead local pid, or past ``task_timeout_s``).
+    Retry, dependency skips, journaling and the signal drain are the
+    core's, so both transports produce the same
+    :class:`~repro.sched.core.SchedulerOutcome` by construction.
     """
 
     def __init__(
@@ -555,321 +516,34 @@ class QueueCoordinator:
         cache_root: str,
         run_id: str,
         jobs: int,
-        max_task_retries: int = 1,
-        reseed_stride: int = 1000,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float | None = None,
         poll_s: float = 0.1,
         worker_poll_s: float = DEFAULT_POLL_S,
-        task_timeout_s: float | None = None,
-        on_event=None,
-        journal: RunJournal | None = None,
-        seed_done=(),
-        seed_payloads=None,
-        drain_grace_s: float = 10.0,
-        handle_signals: bool = False,
         start_method: str | None = None,
         max_respawns: int = 64,
         stall_timeout_s: float | None = 60.0,
+        **policy,
     ) -> None:
+        """*policy* takes the :class:`~repro.sched.core.Coordinator`
+        keywords, as for :class:`~repro.sched.scheduler.Scheduler`."""
         if jobs < 0:
             raise SchedulerError(
                 f"queue transport needs jobs >= 0 (0 = no local workers, "
                 f"remote agents only), got {jobs}")
-        self.graph = graph
+        super().__init__(graph, jobs=jobs, **policy)
         self.cfg = cfg
         self.queue = WorkQueue(cache_root, run_id)
         self.run_id = run_id
-        self.jobs = jobs
-        self.max_task_retries = max_task_retries
-        self.reseed_stride = reseed_stride
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_s = (float(heartbeat_s) if heartbeat_s is not None
                             else max(0.05, self.lease_ttl_s / 4.0))
         self.poll_s = poll_s
         self.worker_poll_s = worker_poll_s
-        self.task_timeout_s = task_timeout_s
-        self.on_event = on_event
-        self.journal = journal
-        self.seed_done = {t for t in seed_done if t in graph.tasks}
-        self.seed_payloads = {
-            tid: p for tid, p in (seed_payloads or {}).items()
-            if tid in self.seed_done
-        }
-        self.drain_grace_s = drain_grace_s
-        self.handle_signals = handle_signals
         self.start_method = start_method or default_start_method()
         self.max_respawns = max_respawns
         self.stall_timeout_s = stall_timeout_s
-        self.host = socket.gethostname()
-        self._signum: int | None = None
-        self._force = False
-        self._spawned = 0
 
-    # -- signal plumbing (same contract as the process Scheduler) ------
-    def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
-        if self._signum is None:
-            self._signum = signum
-        else:
-            self._force = True
-
-    def _install_handlers(self) -> dict:
-        previous: dict = {}
-        if not self.handle_signals:
-            return previous
-        if threading.current_thread() is not threading.main_thread():
-            return previous
-        for sig in INTERRUPT_SIGNALS:
-            try:
-                previous[sig] = signal.signal(sig, self._on_signal)
-            except (ValueError, OSError):  # pragma: no cover — platform
-                pass
-        return previous
-
-    # -- local worker pool ---------------------------------------------
-    def _spawn_worker(self, mp_ctx, procs: list) -> None:
-        self._spawned += 1
-        wid = f"local-{self.host}-{os.getpid()}-{self._spawned}"
-        proc = mp_ctx.Process(
-            target=_local_worker_main,
-            args=(self.queue.cache_root, self.run_id, wid,
-                  self.worker_poll_s),
-            daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-        if self.journal is not None:
-            self.journal.worker_joined(wid)
-
-    def _maintain_pool(self, mp_ctx, procs: list) -> None:
-        alive = [p for p in procs if p.is_alive()]
-        dead = len(procs) - len(alive)
-        procs[:] = alive
-        if dead:
-            for _ in range(dead):
-                if (len(procs) < self.jobs
-                        and self._spawned < self.jobs + self.max_respawns):
-                    self._spawn_worker(mp_ctx, procs)
-
-    # -- publishing -----------------------------------------------------
-    def _seed_offset(self, task_id: str, attempt: int) -> int:
-        task = self.graph.tasks[task_id]
-        if isinstance(task, RecordTask):
-            return 0  # the spec is the cache key; reseeding would fork it
-        return attempt * self.reseed_stride
-
-    def _publish(self, task_id: str, epoch: int, attempt: int,
-                 published: dict) -> None:
-        self.queue.publish_ready(task_id, epoch, attempt,
-                                 self._seed_offset(task_id, attempt))
-        published[task_id] = {
-            "epoch": epoch, "attempt": attempt, "granted": False,
-            "t_pub": time.monotonic(), "t_grant": None,
-            "worker": "", "pid": None, "host": "",
-        }
-
-    def _publish_ready(self, done: set, published: dict, attempts: dict,
-                       outcome, log) -> None:
-        if self._signum is not None:
-            return
-        running = set(published) - done
-        for tid in self.graph.ready(done, running):
-            epoch = max(read_fence(self.queue.fence_path(tid)), 1)
-            self._publish(tid, epoch, attempts.get(tid, 0), published)
-
-    # -- grants ---------------------------------------------------------
-    def _observe_grants(self, done: set, published: dict, log) -> None:
-        for tid, pub in published.items():
-            if tid in done or pub["granted"]:
-                continue
-            rec = _read_json(self.queue.lease_path(tid, pub["epoch"]))
-            if rec is None:
-                continue
-            pub.update(granted=True, t_grant=time.monotonic(),
-                       worker=str(rec.get("worker_id", "")),
-                       pid=rec.get("pid"), host=str(rec.get("host", "")))
-            self.queue.clear_ready(tid)
-            log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
-                     pid=pub["pid"], detail=f"lease -> {pub['worker']}")
-            if self.journal is not None:
-                self.journal.lease_granted(tid, pub["worker"], pub["epoch"])
-                self.journal.task_started(tid, pub["attempt"])
-
-    # -- results --------------------------------------------------------
-    def _collect(self, done: set, published: dict, attempts: dict,
-                 outcome, log) -> int:
-        handled = 0
-        for tid, pub in list(published.items()):
-            if tid in done:
-                continue
-            rec = _read_json(self.queue.result_path(tid, pub["epoch"]))
-            if rec is None:
-                continue
-            handled += 1
-            if rec.get("status") == "ok":
-                try:
-                    payload = decode_payload(rec.get("payload", {}))
-                except Exception as exc:  # torn/garbled result: re-run
-                    self._attempt_failed(
-                        tid, f"undecodable result payload: {exc}",
-                        done, published, attempts, outcome, log)
-                    continue
-                if not pub["granted"]:
-                    # the worker claimed + finished between two polls;
-                    # backfill the start event so streams stay paired
-                    log.emit(TASK_STARTED, tid, attempt=pub["attempt"],
-                             detail=f"lease -> {rec.get('worker_id', '')}")
-                    if self.journal is not None:
-                        self.journal.lease_granted(
-                            tid, str(rec.get("worker_id", "")), pub["epoch"])
-                        self.journal.task_started(tid, pub["attempt"])
-                    pub["granted"] = True
-                done.add(tid)
-                outcome.payloads[tid] = payload
-                wall = float(rec.get("wall_s", 0.0))
-                log.emit(TASK_FINISHED, tid, attempt=pub["attempt"],
-                         pid=pub["pid"],
-                         wall_s=round(float(
-                             payload.get("wall_s", wall)
-                             if isinstance(payload, dict) else wall), 6),
-                         detail=(payload.get("error", "")
-                                 if isinstance(payload, dict) else ""))
-                if self.journal is not None:
-                    self.journal.task_finished(tid, pub["attempt"], payload)
-            else:
-                info = rec.get("info") or {}
-                self._attempt_failed(
-                    tid,
-                    f"{info.get('error_type', 'Error')}: "
-                    f"{info.get('message', '')}",
-                    done, published, attempts, outcome, log)
-        return handled
-
-    # -- revocation / retry ---------------------------------------------
-    def _check_leases(self, done: set, published: dict, attempts: dict,
-                      outcome, log) -> None:
-        now_wall = time.time()
-        now_mono = time.monotonic()
-        for tid, pub in list(published.items()):
-            if tid in done or not pub["granted"]:
-                continue
-            lease_file = self.queue.lease_path(tid, pub["epoch"])
-            try:
-                age = now_wall - os.stat(lease_file).st_mtime
-            except OSError:
-                # lease gone without a collected result: if the result
-                # file exists we'll pick it up next _collect; otherwise
-                # the worker vanished mid-release — revoke now
-                if os.path.exists(self.queue.result_path(tid, pub["epoch"])):
-                    continue
-                self._revoke(tid, "lease file vanished without a result",
-                             done, published, attempts, outcome, log)
-                continue
-            reason = None
-            if age > self.lease_ttl_s:
-                reason = (f"lease heartbeat stale ({age:.1f}s > "
-                          f"TTL {self.lease_ttl_s:.1f}s)")
-            elif (pub["host"] == self.host and pub["pid"]
-                    and not _pid_alive(int(pub["pid"]))):
-                reason = f"worker pid {pub['pid']} died on {self.host}"
-            elif (self.task_timeout_s is not None and pub["t_grant"]
-                    and now_mono - pub["t_grant"] > self.task_timeout_s):
-                reason = (f"task exceeded {self.task_timeout_s:.1f}s "
-                          f"wall-clock allowance")
-            if reason is not None:
-                self._revoke(tid, reason, done, published, attempts,
-                             outcome, log)
-
-    def _revoke(self, tid: str, reason: str, done: set, published: dict,
-                attempts: dict, outcome, log) -> None:
-        pub = published[tid]
-        if self.journal is not None:
-            self.journal.lease_revoked(tid, pub["worker"], pub["epoch"],
-                                       reason)
-        self._attempt_failed(tid, reason, done, published, attempts,
-                             outcome, log)
-
-    def _attempt_failed(self, tid: str, reason: str, done: set,
-                        published: dict, attempts: dict, outcome,
-                        log) -> None:
-        """One grant of *tid* is lost (stale, dead, timed out, or the
-        worker reported an error): fence the old epoch off, then retry
-        or fail permanently. **Ordering matters**: the fence bump is
-        durable before the task is republished, so the revoked holder
-        can never commit over its successor."""
-        pub = published[tid]
-        epoch = pub["epoch"]
-        write_fence(self.queue.fence_path(tid), epoch + 1,
-                    fs=self.queue.fs)
-        self.queue.clear_ready(tid)
-        attempts[tid] = pub["attempt"] + 1
-        if attempts[tid] <= self.max_task_retries:
-            log.emit(TASK_RETRIED, tid, attempt=pub["attempt"],
-                     pid=pub["pid"], detail=reason)
-            self._publish(tid, epoch + 1, attempts[tid], published)
-            return
-        done.add(tid)
-        outcome.failures[tid] = {
-            "task_id": tid,
-            "attempts": attempts[tid],
-            "reason": reason,
-        }
-        log.emit(TASK_FAILED, tid, attempt=pub["attempt"], pid=pub["pid"],
-                 detail=reason)
-        if self.journal is not None:
-            self.journal.task_failed(tid, attempts[tid], reason)
-        skip_dependents(self.graph, tid, reason, done, outcome, log,
-                        journal=self.journal)
-
-    # -- stall detection -------------------------------------------------
-    def _check_stall(self, done: set, published: dict, procs: list) -> None:
-        if self.jobs == 0 or self.stall_timeout_s is None:
-            return  # remote-only mode: waiting is the operator's choice
-        if procs:
-            return
-        if self._spawned < self.jobs + self.max_respawns:
-            return  # _maintain_pool will respawn
-        now = time.monotonic()
-        unclaimed = [
-            tid for tid, pub in published.items()
-            if tid not in done and not pub["granted"]
-            and now - pub["t_pub"] > self.stall_timeout_s
-        ]
-        if unclaimed:
-            raise SchedulerError(
-                f"queue stalled: every local worker is dead, the respawn "
-                f"budget ({self.max_respawns}) is exhausted, and "
-                f"{len(unclaimed)} published task(s) went unclaimed for "
-                f"{self.stall_timeout_s:.0f}s (first: {unclaimed[0]})")
-
-    # -- shutdown --------------------------------------------------------
-    def _shutdown_workers(self, procs: list) -> None:
-        self.queue.stop()
-        deadline = time.monotonic() + 2.0
-        for p in procs:
-            p.join(timeout=max(0.0, deadline - time.monotonic()))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=2.0)
-            if p.is_alive():
-                p.kill()
-                p.join(timeout=2.0)
-
-    def _drain_on_interrupt(self, done, published, attempts, outcome,
-                            log) -> None:
-        deadline = time.monotonic() + max(0.0, self.drain_grace_s)
-        while (not self._force and time.monotonic() < deadline
-               and any(tid not in done and pub["granted"]
-                       for tid, pub in published.items())):
-            self._collect(done, published, attempts, outcome, log)
-            time.sleep(self.poll_s)
-        self._collect(done, published, attempts, outcome, log)
-        if self.journal is not None:
-            self.journal.run_interrupted(int(self._signum or 0))
-
-    # ------------------------------------------------------------------
     def publish(self) -> None:
         """Write the manifest (graph + worker config + lease knobs) so
         workers anywhere can join. Idempotent."""
@@ -887,58 +561,196 @@ class QueueCoordinator:
 
     def run(self) -> SchedulerOutcome:
         self.publish()
-        mp_ctx = multiprocessing.get_context(self.start_method)
-        log = EventLog(self.on_event)
-        outcome = SchedulerOutcome()
-        outcome.payloads.update(self.seed_payloads)
-        done: set[str] = set(self.seed_done)
-        published: dict[str, dict] = {}
-        attempts: dict[str, int] = {}
-        procs: list = []
-        t_start = time.monotonic()
-        previous_handlers = self._install_handlers()
-        try:
-            for _ in range(self.jobs):
-                self._spawn_worker(mp_ctx, procs)
-            while len(done) < len(self.graph):
-                if self._signum is not None:
-                    break
-                self._publish_ready(done, published, attempts, outcome, log)
-                self._observe_grants(done, published, log)
-                handled = self._collect(done, published, attempts, outcome,
-                                        log)
-                self._check_leases(done, published, attempts, outcome, log)
-                self._maintain_pool(mp_ctx, procs)
-                self._check_stall(done, published, procs)
-                if not handled:
-                    time.sleep(self.poll_s)
-            if self._signum is not None:
-                self._drain_on_interrupt(done, published, attempts,
-                                         outcome, log)
-        finally:
-            for sig, handler in previous_handlers.items():
-                try:
-                    signal.signal(sig, handler)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-            self._shutdown_workers(procs)
-        outcome.report = SchedulerReport(
-            jobs=self.jobs,
-            wall_s=time.monotonic() - t_start,
-            n_tasks=len(self.graph),
-            n_records=len(self.graph.record_tasks),
-            n_experiments=len(self.graph.experiment_tasks),
-            n_retries=log.count(TASK_RETRIED),
-            n_failed=len(outcome.failures),
-            n_skipped=len(outcome.skipped),
-            n_resumed=len(self.seed_done),
-            interrupted=self._signum is not None,
-            signum=self._signum,
-            task_wall_s={
-                tid: float(p.get("wall_s", 0.0))
-                for tid, p in outcome.payloads.items()
-                if isinstance(p, dict)
-            },
-            events=log.events,
+        return self.drive(QueueExecutor(self))
+
+
+class QueueExecutor:
+    """Moves attempts through the queue files: ready file out, lease
+    observed as the start, result file in — or a lost lease, fenced off
+    before the coordinator may republish the task."""
+
+    #: workers pull: every ready task is published at once
+    slots = None
+
+    def __init__(self, coord: QueueCoordinator) -> None:
+        self.coord = coord
+        self.queue = coord.queue
+        self.journal = coord.journal
+        self.host = socket.gethostname()
+        #: task_id -> the attempt in flight: epoch, attempt, grant state
+        self.published: dict[str, dict] = {}
+        self.procs: list = []
+        self.spawned = 0
+
+    # -- local worker pool ---------------------------------------------
+    def start(self, sink: Coordinator) -> None:
+        self.sink = sink
+        self.mp_ctx = multiprocessing.get_context(self.coord.start_method)
+        for _ in range(self.coord.jobs):
+            self._spawn_worker()
+
+    def _spawn_worker(self) -> None:
+        self.spawned += 1
+        wid = f"local-{self.host}-{os.getpid()}-{self.spawned}"
+        proc = self.mp_ctx.Process(
+            target=_local_worker_main,
+            args=(self.queue.cache_root, self.coord.run_id, wid,
+                  self.coord.worker_poll_s),
+            daemon=True,
         )
-        return outcome
+        proc.start()
+        self.procs.append(proc)
+        if self.journal is not None:
+            self.journal.worker_joined(wid)
+
+    def _respawn_budget_left(self) -> bool:
+        return self.spawned < self.coord.jobs + self.coord.max_respawns
+
+    def _maintain_pool(self) -> None:
+        alive = [p for p in self.procs if p.is_alive()]
+        dead = len(self.procs) - len(alive)
+        self.procs[:] = alive
+        for _ in range(dead):
+            if len(self.procs) < self.coord.jobs and self._respawn_budget_left():
+                self._spawn_worker()
+
+    def _check_stall(self) -> None:
+        if self.coord.jobs == 0 or self.coord.stall_timeout_s is None:
+            return  # remote-only mode: waiting is the operator's choice
+        if self.procs or self._respawn_budget_left():
+            return  # _maintain_pool will respawn
+        now = time.monotonic()
+        unclaimed = [
+            tid for tid, pub in self.published.items()
+            if not pub["granted"]
+            and now - pub["t_pub"] > self.coord.stall_timeout_s
+        ]
+        if unclaimed:
+            raise SchedulerError(
+                f"queue stalled: every local worker is dead, the respawn "
+                f"budget ({self.coord.max_respawns}) is exhausted, and "
+                f"{len(unclaimed)} published task(s) went unclaimed for "
+                f"{self.coord.stall_timeout_s:.0f}s (first: {unclaimed[0]})")
+
+    def shutdown(self) -> None:
+        self.queue.stop()
+        deadline = time.monotonic() + 2.0
+        for p in self.procs:
+            p.join(timeout=max(0.0, deadline - time.monotonic()))
+        for p in self.procs:
+            stop_process(p)
+
+    # -- attempts --------------------------------------------------------
+    def submit(self, task_id: str, attempt: int, seed_offset: int) -> None:
+        # a lost attempt's fence was bumped before the coordinator heard
+        # of the loss, so the retry publishes at the old epoch + 1
+        epoch = max(read_fence(self.queue.fence_path(task_id)), 1)
+        self.queue.publish_ready(task_id, epoch, attempt, seed_offset)
+        self.published[task_id] = {
+            "epoch": epoch, "attempt": attempt, "granted": False,
+            "t_pub": time.monotonic(), "worker": "", "pid": None, "host": "",
+        }
+
+    def poll(self) -> None:
+        self._observe_grants()
+        handled = self._collect()
+        self._check_leases()
+        self._maintain_pool()
+        self._check_stall()
+        if not handled:
+            time.sleep(self.coord.poll_s)
+
+    def cancel(self, task_id: str, reason: str) -> None:
+        self._revoke(task_id, reason)
+
+    def _grant(self, tid: str, pub: dict) -> None:
+        pub["granted"] = True
+        self.queue.clear_ready(tid)
+        if self.journal is not None:
+            self.journal.lease_granted(tid, pub["worker"], pub["epoch"])
+        self.sink.task_started(tid, pid=pub["pid"],
+                               detail=f"lease -> {pub['worker']}")
+
+    def _observe_grants(self) -> None:
+        for tid, pub in list(self.published.items()):
+            if pub["granted"]:
+                continue
+            rec = _read_json(self.queue.lease_path(tid, pub["epoch"]))
+            if rec is None:
+                continue
+            pub.update(worker=str(rec.get("worker_id", "")),
+                       pid=rec.get("pid"), host=str(rec.get("host", "")))
+            self._grant(tid, pub)
+
+    def _collect(self) -> int:
+        handled = 0
+        for tid, pub in list(self.published.items()):
+            rec = _read_json(self.queue.result_path(tid, pub["epoch"]))
+            if rec is None:
+                continue
+            handled += 1
+            if rec.get("status") != "ok":
+                self._fence_off(tid)
+                self.sink.task_finished(tid, "error", rec.get("info") or {})
+                continue
+            try:
+                payload = decode_payload(rec.get("payload", {}))
+                if not isinstance(payload, dict):
+                    raise TypeError(f"payload is {type(payload).__name__}")
+            except Exception as exc:  # torn/garbled result: re-run
+                self._fence_off(tid)
+                self.sink.task_lost(tid,
+                                    f"undecodable result payload: {exc}")
+                continue
+            if not pub["granted"]:
+                # the worker claimed + finished between two polls;
+                # backfill the start so streams stay paired
+                pub["worker"] = str(rec.get("worker_id", ""))
+                self._grant(tid, pub)
+            del self.published[tid]
+            self.sink.task_finished(tid, "ok", payload)
+        return handled
+
+    def _check_leases(self) -> None:
+        now = time.time()
+        for tid, pub in list(self.published.items()):
+            if not pub["granted"]:
+                continue
+            try:
+                age = now - os.stat(
+                    self.queue.lease_path(tid, pub["epoch"])).st_mtime
+            except OSError:
+                # lease gone without a collected result: if the result
+                # file exists the next _collect picks it up; otherwise
+                # the worker vanished mid-release
+                if os.path.exists(self.queue.result_path(tid, pub["epoch"])):
+                    continue
+                reason = "lease file vanished without a result"
+            else:
+                if age > self.coord.lease_ttl_s:
+                    reason = (f"lease heartbeat stale ({age:.1f}s > "
+                              f"TTL {self.coord.lease_ttl_s:.1f}s)")
+                elif (pub["host"] == self.host and pub["pid"]
+                        and not pid_alive(int(pub["pid"]))):
+                    reason = f"worker pid {pub['pid']} died on {self.host}"
+                else:
+                    continue
+            self._revoke(tid, reason)
+            self.sink.task_lost(tid, reason)
+
+    def _revoke(self, tid: str, reason: str) -> None:
+        pub = self.published[tid]
+        if self.journal is not None:
+            self.journal.lease_revoked(tid, pub["worker"], pub["epoch"],
+                                       reason)
+        self._fence_off(tid)
+
+    def _fence_off(self, tid: str) -> None:
+        """This attempt is over without an accepted result. **Ordering
+        matters**: the fence bump is durable before the coordinator can
+        republish the task, so the old epoch's holder can never commit
+        over its successor."""
+        pub = self.published.pop(tid)
+        write_fence(self.queue.fence_path(tid), pub["epoch"] + 1,
+                    fs=self.queue.fs)
+        self.queue.clear_ready(tid)

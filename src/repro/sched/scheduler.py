@@ -1,34 +1,15 @@
-"""Dependency-aware multi-process scheduler for the experiment suite.
+"""Local process-pool transport for the experiment suite.
 
-The scheduler walks a :class:`~repro.sched.graph.TaskGraph` with up to
-``jobs`` worker processes, one process per task (cheap under the POSIX
-``fork`` start method, and spawn-safe everywhere else). Results come
-back over a single multiprocessing queue; worker *death* — a crash, an
-OOM kill, an operator ``kill -9`` — is detected through process
-liveness, and the victim's task is re-scheduled on a fresh worker with
-the same deterministic reseed :class:`~repro.resilience.harness.
-HardenedRunner` uses in-process (``seed + attempt * reseed_stride``),
-bounded by ``max_task_retries``. A task that exceeds its wall-clock
-allowance is killed and handled the same way, so one hung worker can
-never wedge the suite.
-
-Three robustness layers on top of the pool:
-
-* **Write-ahead journal** — every launch, completion (with its
-  payload), permanent failure, and skip is durably appended to a
-  :class:`~repro.sched.journal.RunJournal`; ``seed_done`` /
-  ``seed_payloads`` replay a previous run's journal so resumed suites
-  launch only unfinished tasks.
-* **Graceful interruption** — with ``handle_signals=True`` the run
-  installs SIGINT/SIGTERM handlers: the first signal stops launching
-  and drains in-flight workers for ``drain_grace_s`` seconds (their
-  completions are journaled normally), then escalates terminate→kill;
-  a second signal forces the escalation immediately. The report comes
-  back marked ``interrupted`` with the delivering signal number.
-* **Dependency-failure propagation** — when a task exhausts its
-  retries, every transitive dependent that has not run yet is reported
-  and journaled as ``task_skipped`` with the root-cause task id,
-  instead of being launched to fail slowly against a missing artifact.
+:class:`Scheduler` is the :class:`~repro.sched.core.Coordinator` bound
+to a :class:`PoolExecutor`: up to ``jobs`` worker processes, one per
+task attempt (cheap under the POSIX ``fork`` start method, spawn-safe
+everywhere else), results back over a single multiprocessing queue.
+Worker *death* — a crash, an OOM kill, an operator ``kill -9`` — is
+detected through process liveness and reported as a lost attempt, which
+the coordinator retries reseeded or fails; a worker past its wall-clock
+allowance is killed when the coordinator cancels it. The write-ahead
+journal, the graceful SIGINT/SIGTERM drain and dependency-skip
+propagation are the coordinator's, shared with the queue transport.
 
 Correctness does not depend on the scheduler's bookkeeping: workers
 coordinate through the shared artifact cache's per-key ``flock``, so
@@ -42,25 +23,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
-import signal
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro.errors import SchedulerError
-from repro.sched.events import (
-    TASK_FAILED,
-    TASK_FINISHED,
-    TASK_RETRIED,
-    TASK_SKIPPED,
-    TASK_STARTED,
-    EventLog,
-    SchedEvent,
-    SchedulerReport,
-)
+from repro.sched.core import Coordinator, SchedulerOutcome
 from repro.sched.graph import RecordTask, TaskGraph
-from repro.sched.journal import RunJournal
 from repro.sched.workers import WorkerConfig, task_process_main
 
 #: Environment override for the multiprocessing start method.
@@ -68,10 +37,8 @@ START_METHOD_ENV = "REPRO_SCHED_START"
 #: How long to keep draining the result queue after a worker exits —
 #: covers the window where the message is written but not yet readable.
 _EXIT_DRAIN_S = 0.5
-#: Main-loop poll interval while waiting on results.
+#: How long one poll blocks on the result queue.
 _POLL_S = 0.05
-#: Signals that trigger the graceful stop-launching-and-drain path.
-INTERRUPT_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 def default_start_method() -> str:
@@ -84,59 +51,17 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
 
 
-@dataclass
-class _Running:
-    proc: multiprocessing.Process
-    attempt: int
-    t0: float
+def stop_process(proc) -> None:
+    """Terminate *proc*, then kill it if it ignores that."""
+    if proc.is_alive():
+        proc.terminate()
+    proc.join(timeout=2.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=2.0)
 
 
-def skip_dependents(graph: TaskGraph, task_id: str, reason: str,
-                    done: set, outcome: "SchedulerOutcome", log: EventLog,
-                    journal: RunJournal | None = None) -> None:
-    """Propagate a permanent task failure to its transitive dependents.
-
-    Everything downstream of *task_id* that has not already finished is
-    doomed — report and journal it as skipped instead of launching it to
-    fail slowly against a missing artifact. Shared by the process-pool
-    :class:`Scheduler` and the queue transport's coordinator
-    (:class:`repro.sched.queue.QueueCoordinator`), so both transports
-    fail a broken suite with identical structure.
-    """
-    for tid in graph.transitive_dependents(task_id):
-        if tid in done or tid in outcome.skipped:
-            continue
-        done.add(tid)
-        info = {
-            "task_id": tid,
-            "root_cause": task_id,
-            "reason": reason,
-        }
-        outcome.skipped[tid] = info
-        log.emit(TASK_SKIPPED, tid,
-                 detail=f"dependency {task_id} failed: {reason}")
-        if journal is not None:
-            journal.task_skipped(tid, task_id, reason)
-
-
-@dataclass
-class SchedulerOutcome:
-    """Everything one scheduled run produced."""
-
-    #: task_id -> worker payload of the successful attempt
-    payloads: dict[str, dict] = field(default_factory=dict)
-    #: task_id -> structured failure info (every retry exhausted)
-    failures: dict[str, dict] = field(default_factory=dict)
-    #: task_id -> skip info (never launched; a dependency hard-failed)
-    skipped: dict[str, dict] = field(default_factory=dict)
-    report: SchedulerReport | None = None
-
-    @property
-    def events(self) -> list[SchedEvent]:
-        return self.report.events if self.report is not None else []
-
-
-class Scheduler:
+class Scheduler(Coordinator):
     """Runs one task graph to completion on a bounded worker pool."""
 
     def __init__(
@@ -146,313 +71,108 @@ class Scheduler:
         *,
         jobs: int,
         exp_fns: Mapping[str, Callable | None] | None = None,
-        max_task_retries: int = 1,
-        reseed_stride: int = 1000,
-        task_timeout_s: float | None = None,
         start_method: str | None = None,
-        on_event: Callable[[SchedEvent], None] | None = None,
-        journal: RunJournal | None = None,
-        seed_done: Iterable[str] = (),
-        seed_payloads: Mapping[str, dict] | None = None,
-        drain_grace_s: float = 10.0,
-        handle_signals: bool = False,
+        **policy,
     ) -> None:
+        """*policy* takes the :class:`~repro.sched.core.Coordinator`
+        keywords (retries, reseed stride, timeout, journal, resume
+        seeds, drain, signals, event callback)."""
         if jobs < 1:
             raise SchedulerError(f"jobs must be >= 1, got {jobs}")
-        self.graph = graph
+        super().__init__(graph, jobs=jobs, **policy)
         self.cfg = cfg
-        self.jobs = jobs
         #: experiment id -> callable, or None to resolve from the
         #: registry inside the worker (the spawn-safe path)
         self.exp_fns = dict(exp_fns or {})
-        self.max_task_retries = max_task_retries
-        self.reseed_stride = reseed_stride
-        self.task_timeout_s = task_timeout_s
         self.start_method = start_method or default_start_method()
-        self.on_event = on_event
-        self.journal = journal
-        self.seed_done = {t for t in seed_done if t in graph.tasks}
-        self.seed_payloads = {
-            tid: p for tid, p in (seed_payloads or {}).items()
-            if tid in self.seed_done
-        }
-        self.drain_grace_s = drain_grace_s
-        self.handle_signals = handle_signals
-        #: first interrupt signal delivered (None while undisturbed)
-        self._signum: int | None = None
-        #: second signal: skip the grace drain, kill immediately
-        self._force = False
 
-    # ------------------------------------------------------------------
-    def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
-        if self._signum is None:
-            self._signum = signum
-        else:
-            self._force = True
-
-    def _install_handlers(self) -> dict:
-        """Install the drain handlers; returns what to restore."""
-        previous: dict = {}
-        if not self.handle_signals:
-            return previous
-        if threading.current_thread() is not threading.main_thread():
-            return previous  # signal.signal only works on the main thread
-        for sig in INTERRUPT_SIGNALS:
-            try:
-                previous[sig] = signal.signal(sig, self._on_signal)
-            except (ValueError, OSError):  # pragma: no cover — platform
-                pass
-        return previous
-
-    # ------------------------------------------------------------------
     def run(self) -> SchedulerOutcome:
-        mp_ctx = multiprocessing.get_context(self.start_method)
-        result_q = mp_ctx.Queue()
-        log = EventLog(self.on_event)
-        outcome = SchedulerOutcome()
-        outcome.payloads.update(self.seed_payloads)
-        running: dict[str, _Running] = {}
-        attempts: dict[str, int] = {}
-        done: set[str] = set(self.seed_done)
-        t_start = time.monotonic()
-        previous_handlers = self._install_handlers()
-        try:
-            while len(done) < len(self.graph):
-                if self._signum is not None:
-                    break
-                self._launch(mp_ctx, result_q, running, attempts, done, log)
-                if not running and self._signum is None:
-                    raise SchedulerError(self._stall_message(done))
-                self._drain(result_q, running, attempts, done, outcome, log,
-                            timeout=_POLL_S)
-                self._reap(result_q, running, attempts, done, outcome, log)
-            if self._signum is not None:
-                self._drain_on_interrupt(result_q, running, attempts, done,
-                                         outcome, log)
-        finally:
-            for sig, handler in previous_handlers.items():
-                try:
-                    signal.signal(sig, handler)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-            for st in running.values():
-                if st.proc.is_alive():
-                    st.proc.terminate()
-            for st in running.values():
-                st.proc.join(timeout=2.0)
-                if st.proc.is_alive():
-                    st.proc.kill()
-                    st.proc.join(timeout=2.0)
-            result_q.close()
-            result_q.cancel_join_thread()
-        outcome.report = SchedulerReport(
-            jobs=self.jobs,
-            wall_s=time.monotonic() - t_start,
-            n_tasks=len(self.graph),
-            n_records=len(self.graph.record_tasks),
-            n_experiments=len(self.graph.experiment_tasks),
-            n_retries=log.count(TASK_RETRIED),
-            n_failed=len(outcome.failures),
-            n_skipped=len(outcome.skipped),
-            n_resumed=len(self.seed_done),
-            interrupted=self._signum is not None,
-            signum=self._signum,
-            task_wall_s={
-                tid: float(p.get("wall_s", 0.0))
-                for tid, p in outcome.payloads.items()
-            },
-            events=log.events,
-        )
-        return outcome
+        return self.drive(PoolExecutor(self))
 
-    # ------------------------------------------------------------------
-    def _stall_message(self, done: set[str]) -> str:
-        """Diagnosable stall report: every pending task with the
-        dependencies it is still waiting on."""
-        pending = [t for t in self.graph.order if t not in done]
-        waits = "; ".join(
-            f"{tid} waits on [{', '.join(self.graph.unmet_deps(tid, done))}]"
-            for tid in pending
-        )
-        return (
-            f"scheduler stalled with {len(pending)} pending task(s): {waits}"
-        )
 
-    # ------------------------------------------------------------------
-    def _drain_on_interrupt(self, result_q, running, attempts, done,
-                            outcome, log) -> None:
-        """Stop launching, give in-flight workers ``drain_grace_s`` to
-        finish (their results are collected and journaled normally),
-        then escalate terminate→kill on whatever is left. A second
-        signal skips the grace period."""
-        deadline = time.monotonic() + max(0.0, self.drain_grace_s)
-        while running and not self._force and time.monotonic() < deadline:
-            self._drain(result_q, running, attempts, done, outcome, log,
-                        timeout=_POLL_S)
-            self._reap_finished_only(result_q, running, attempts, done,
-                                     outcome, log)
-        for tid, st in list(running.items()):
-            if st.proc.is_alive():
-                st.proc.terminate()
-        for tid, st in list(running.items()):
-            st.proc.join(timeout=2.0)
-            if st.proc.is_alive():
-                st.proc.kill()
-                st.proc.join(timeout=2.0)
-            running.pop(tid, None)
-        if self.journal is not None:
-            self.journal.run_interrupted(int(self._signum or 0))
+@dataclass
+class _Running:
+    proc: multiprocessing.Process
+    attempt: int
 
-    def _reap_finished_only(self, result_q, running, attempts, done,
-                            outcome, log) -> None:
-        """During an interrupt drain, collect results of workers that
-        exited but do not retry crashes — their tasks simply stay
-        pending for the resumed run."""
-        for tid in list(running):
-            st = running.get(tid)
-            if st is None or st.proc.is_alive():
+
+class PoolExecutor:
+    """One forked worker process per attempt, at most ``jobs`` at once;
+    results come back over one multiprocessing queue."""
+
+    def __init__(self, sched: Scheduler) -> None:
+        self.sched = sched
+        self.slots = sched.jobs
+        self.running: dict[str, _Running] = {}
+        self.result_q = None
+
+    def start(self, sink: Coordinator) -> None:
+        self.sink = sink
+        self.mp_ctx = multiprocessing.get_context(self.sched.start_method)
+        self.result_q = self.mp_ctx.Queue()
+
+    def submit(self, task_id: str, attempt: int, seed_offset: int) -> None:
+        task = self.sched.graph.tasks[task_id]
+        fn = (None if isinstance(task, RecordTask)
+              else self.sched.exp_fns.get(task.exp_id))
+        proc = self.mp_ctx.Process(
+            target=task_process_main,
+            args=(task, attempt, seed_offset, self.sched.cfg, self.result_q,
+                  fn),
+            daemon=True,
+        )
+        proc.start()
+        self.running[task_id] = _Running(proc, attempt)
+        self.sink.task_started(task_id, pid=proc.pid)
+
+    def poll(self) -> None:
+        """Block on the result queue for one interval, then reap workers
+        that died without a result."""
+        self._read_results(timeout=_POLL_S)
+        for tid, st in list(self.running.items()):
+            if tid not in self.running or st.proc.is_alive():
                 continue
+            # the result may still be in flight: give the queue one
+            # bounded grace drain before declaring a crash
             deadline = time.monotonic() + _EXIT_DRAIN_S
-            while tid in running and time.monotonic() < deadline:
-                if not self._drain(result_q, running, attempts, done,
-                                   outcome, log, timeout=0.05):
+            while tid in self.running and time.monotonic() < deadline:
+                if not self._read_results(timeout=0.05):
                     break
-            if tid in running:  # died without a result: leave it pending
-                running.pop(tid)
-                st.proc.join(timeout=1.0)
+            if tid not in self.running:
+                continue  # its message arrived after all
+            self.running.pop(tid)
+            st.proc.join(timeout=1.0)
+            self.sink.task_lost(
+                tid, f"worker died (exitcode {st.proc.exitcode}) before "
+                     f"reporting a result")
 
-    # ------------------------------------------------------------------
-    def _launch(self, mp_ctx, result_q, running, attempts, done, log) -> None:
-        for tid in self.graph.ready(done, running):
-            if len(running) >= self.jobs or self._signum is not None:
-                break
-            task = self.graph.tasks[tid]
-            attempt = attempts.get(tid, 0)
-            if isinstance(task, RecordTask):
-                # a record task never reseeds: the spec *is* the cache
-                # key, and the cache makes re-recording it idempotent
-                kind, args, seed_offset = "record", (task.spec,), 0
-            else:
-                kind = "experiment"
-                args = (task.exp_id, self.exp_fns.get(task.exp_id))
-                seed_offset = attempt * self.reseed_stride
-            proc = mp_ctx.Process(
-                target=task_process_main,
-                args=(tid, kind, args, seed_offset, self.cfg, result_q,
-                      attempt),
-                daemon=True,
-            )
-            proc.start()
-            running[tid] = _Running(proc, attempt, time.monotonic())
-            log.emit(TASK_STARTED, tid, attempt=attempt, pid=proc.pid)
-            if self.journal is not None:
-                self.journal.task_started(tid, attempt)
-
-    # ------------------------------------------------------------------
-    def _drain(self, result_q, running, attempts, done, outcome, log,
-               timeout: float = 0.0) -> int:
-        """Consume every available result message; returns how many."""
+    def _read_results(self, timeout: float) -> int:
+        """Deliver every available result message; returns how many."""
         handled = 0
         block = timeout
         while True:
             try:
-                msg = result_q.get(timeout=block) if block else \
-                    result_q.get_nowait()
+                msg = self.result_q.get(timeout=block) if block else \
+                    self.result_q.get_nowait()
             except queue_mod.Empty:
                 return handled
             block = 0.0  # only the first get blocks
-            handled += self._handle_message(msg, running, attempts, done,
-                                            outcome, log)
+            task_id, attempt, status, body = msg
+            st = self.running.get(task_id)
+            if st is None or st.attempt != attempt:
+                continue  # stale: a cancelled attempt's message arrived late
+            self.running.pop(task_id)
+            st.proc.join(timeout=_EXIT_DRAIN_S)
+            self.sink.task_finished(task_id, status, body)
+            handled += 1
 
-    def _handle_message(self, msg, running, attempts, done, outcome,
-                        log) -> int:
-        task_id, attempt, status, payload = msg
-        st = running.get(task_id)
-        if st is None or st.attempt != attempt:
-            return 0  # stale: a terminated attempt's message arrived late
-        running.pop(task_id)
-        st.proc.join(timeout=_EXIT_DRAIN_S)
-        wall = time.monotonic() - st.t0
-        if status == "ok":
-            done.add(task_id)
-            outcome.payloads[task_id] = payload
-            log.emit(TASK_FINISHED, task_id, attempt=attempt,
-                     pid=st.proc.pid,
-                     wall_s=round(float(payload.get("wall_s", wall)), 6),
-                     detail=payload.get("error", ""))
-            if self.journal is not None:
-                self.journal.task_finished(task_id, attempt, payload)
-        else:
-            # the worker survived but task execution itself blew up
-            # (infrastructure failure, not an experiment error — those
-            # come back as ExperimentFailure payloads with status "ok")
-            self._crashed(task_id, st, attempts, done, outcome, log,
-                          reason=f"{payload.get('error_type', 'Error')}: "
-                                 f"{payload.get('message', '')}")
-        return 1
+    def cancel(self, task_id: str, reason: str) -> None:  # noqa: ARG002
+        stop_process(self.running.pop(task_id).proc)
 
-    # ------------------------------------------------------------------
-    def _reap(self, result_q, running, attempts, done, outcome, log) -> None:
-        """Detect dead and overdue workers; retry or fail their tasks."""
-        now = time.monotonic()
-        for tid in list(running):
-            st = running.get(tid)
-            if st is None or tid in done:
-                continue
-            if not st.proc.is_alive():
-                # the result may still be in flight: give the queue one
-                # bounded grace drain before declaring a crash
-                deadline = time.monotonic() + _EXIT_DRAIN_S
-                while tid in running and time.monotonic() < deadline:
-                    if not self._drain(result_q, running, attempts, done,
-                                       outcome, log, timeout=0.05):
-                        break
-                if tid not in running:
-                    continue  # its message arrived after all
-                running.pop(tid)
-                st.proc.join(timeout=1.0)
-                self._crashed(
-                    tid, st, attempts, done, outcome, log,
-                    reason=f"worker died (exitcode {st.proc.exitcode}) "
-                           f"before reporting a result")
-            elif (self.task_timeout_s is not None
-                  and now - st.t0 > self.task_timeout_s):
-                st.proc.terminate()
-                st.proc.join(timeout=2.0)
-                if st.proc.is_alive():
-                    st.proc.kill()
-                    st.proc.join(timeout=2.0)
-                running.pop(tid, None)
-                self._crashed(
-                    tid, st, attempts, done, outcome, log,
-                    reason=f"task exceeded {self.task_timeout_s:.1f}s "
-                           f"wall-clock allowance; worker killed")
-
-    def _crashed(self, task_id, st, attempts, done, outcome, log,
-                 reason: str) -> None:
-        attempts[task_id] = st.attempt + 1
-        if attempts[task_id] <= self.max_task_retries:
-            log.emit(TASK_RETRIED, task_id, attempt=st.attempt,
-                     pid=st.proc.pid,
-                     wall_s=round(time.monotonic() - st.t0, 6),
-                     detail=reason)
-            return  # left pending: _launch re-schedules it (reseeded)
-        done.add(task_id)
-        outcome.failures[task_id] = {
-            "task_id": task_id,
-            "attempts": attempts[task_id],
-            "reason": reason,
-        }
-        log.emit(TASK_FAILED, task_id, attempt=st.attempt,
-                 pid=st.proc.pid,
-                 wall_s=round(time.monotonic() - st.t0, 6), detail=reason)
-        if self.journal is not None:
-            self.journal.task_failed(task_id, attempts[task_id], reason)
-        self._skip_dependents(task_id, reason, done, outcome, log)
-
-    def _skip_dependents(self, task_id, reason, done, outcome, log) -> None:
-        """A task is out of retries: doom its transitive dependents
-        (module-level :func:`skip_dependents`, shared with the queue
-        transport)."""
-        skip_dependents(self.graph, task_id, reason, done, outcome, log,
-                        journal=self.journal)
+    def shutdown(self) -> None:
+        for st in self.running.values():
+            stop_process(st.proc)
+        self.running.clear()
+        if self.result_q is not None:
+            self.result_q.close()
+            self.result_q.cancel_join_thread()

@@ -27,11 +27,13 @@ from typing import Callable
 
 from repro.engine import PipelineEngine
 from repro.engine.spec import RunSpec
+from repro.errors import FencedOutError
 from repro.resilience.harness import (
     ExperimentBudget,
     HardenedRunner,
     RetryPolicy,
 )
+from repro.sched.graph import RecordTask
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,6 @@ def run_record_task(spec: RunSpec, cfg: WorkerConfig, fence=None) -> dict:
         error = f"{type(exc).__name__}: {exc}"
         # a fenced-out recorder must not report success-shaped payloads:
         # re-raise so the caller (queue worker) can refuse the result
-        from repro.errors import FencedOutError
-
         if isinstance(exc, FencedOutError):
             raise
     return {
@@ -151,47 +151,77 @@ def run_experiment_task(
     }
 
 
-def task_process_main(task_id: str, kind: str, args: tuple,
-                      seed_offset: int, cfg: WorkerConfig, result_q,
-                      attempt: int = 0) -> None:
-    """Entry point of one worker process: run the task, queue the result.
+def run_task(task, cfg: WorkerConfig, seed_offset: int = 0,
+             fn: Callable | None = None, fence=None) -> tuple[str, dict]:
+    """Run one graph task in this process, for either transport.
 
-    A normally-exiting worker always enqueues exactly one message —
-    ``(task_id, attempt, "ok", payload)`` or
-    ``(task_id, attempt, "error", info)``; the attempt number lets the
-    parent discard late messages from a superseded attempt. A worker
-    that dies without enqueuing (SIGKILL, segfault, machine check) is
-    detected by the parent through process liveness and handled as a
-    crash.
+    Returns ``("ok", payload)`` or ``("error", info)`` where *info*
+    carries ``error_type``, ``message``, ``traceback_tail`` and
+    ``pid``. Dispatch goes through this module's ``run_record_task`` /
+    ``run_experiment_task`` globals, so a wrapper installed on them
+    reaches every worker. A :class:`~repro.errors.FencedOutError`
+    propagates: a fenced-out worker must publish nothing at all.
+    """
+    # a fence is passed only when there is one, so stand-ins with the
+    # unfenced signature keep working on the process transport
+    extra = {} if fence is None else {"fence": fence}
+    try:
+        if isinstance(task, RecordTask):
+            return "ok", run_record_task(task.spec, cfg, **extra)
+        return "ok", run_experiment_task(task.exp_id, fn, cfg, seed_offset,
+                                         **extra)
+    except FencedOutError:
+        raise
+    except BaseException as exc:  # noqa: BLE001 — reported, not raised
+        return "error", error_info(exc)
+
+
+def error_info(exc: BaseException) -> dict:
+    """The structured report of a task that blew up in its worker;
+    call from inside the ``except`` block that caught *exc*."""
+    tb = traceback.format_exc().strip().splitlines()
+    return {
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback_tail": "\n".join(tb[-3:]),
+        "pid": os.getpid(),
+    }
+
+
+def set_worker_signals() -> None:
+    """Worker-process signal setup shared by both transports.
 
     Workers ignore SIGINT: a terminal Ctrl-C delivers SIGINT to the
     whole foreground process group, and if workers died on it the
-    parent's graceful drain would have nothing left to drain. The
-    parent alone decides when a worker stops (SIGTERM via
-    ``terminate()``, then SIGKILL), so an interrupted suite journals
-    every result that was about to land instead of losing all of them.
+    coordinator's graceful drain would have nothing left to drain. The
+    coordinator alone decides when a worker stops (SIGTERM via
+    ``terminate()``, then SIGKILL; the queue's STOP file), so an
+    interrupted suite journals every result that was about to land
+    instead of losing all of them. A forked worker inherits the
+    coordinator's drain handler for SIGTERM; the default is restored so
+    ``terminate()`` actually terminates instead of setting a flag in
+    the child.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # a forked worker inherits the parent's drain handler for
-        # SIGTERM; restore the default so the parent's terminate()
-        # actually terminates instead of setting a flag in the child
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover — exotic platforms
         pass
-    try:
-        if kind == "record":
-            (spec,) = args
-            payload = run_record_task(spec, cfg)
-        else:
-            exp_id, fn = args
-            payload = run_experiment_task(exp_id, fn, cfg, seed_offset)
-        result_q.put((task_id, attempt, "ok", payload))
-    except BaseException as exc:  # noqa: BLE001 — report, then exit clean
-        tb = traceback.format_exc().strip().splitlines()
-        result_q.put((task_id, attempt, "error", {
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback_tail": "\n".join(tb[-3:]),
-            "pid": os.getpid(),
-        }))
+
+
+def task_process_main(task, attempt: int, seed_offset: int,
+                      cfg: WorkerConfig, result_q,
+                      fn: Callable | None = None) -> None:
+    """Entry point of one pool worker process: run the task, queue the
+    result.
+
+    A normally-exiting worker always enqueues exactly one message —
+    ``(task_id, attempt, status, body)`` from :func:`run_task`; the
+    attempt number lets the parent discard late messages from a
+    superseded attempt. A worker that dies without enqueuing (SIGKILL,
+    segfault, machine check) is detected by the parent through process
+    liveness and handled as a crash.
+    """
+    set_worker_signals()
+    status, body = run_task(task, cfg, seed_offset, fn)
+    result_q.put((task.task_id, attempt, status, body))
